@@ -196,11 +196,29 @@ impl ContextSeed {
     /// datatype).
     pub(crate) fn characterize(library: &MultiplierLibrary, evaluator: EvaluatorConfig) -> Self {
         assert_eq!(library.width(), 8, "context requires an 8-bit library");
-        let drops = AccuracyEvaluator::new(evaluator)
-            .evaluate_library(library)
-            .into_iter()
-            .map(|(_, drop)| drop)
-            .collect();
+        let accuracy = {
+            let _span = carma_trace::span!("accuracy.reference");
+            AccuracyEvaluator::new(evaluator)
+        };
+        let drops = {
+            let _span = carma_trace::span!("accuracy.library");
+            accuracy
+                .evaluate_library(library)
+                .into_iter()
+                .map(|(_, drop)| drop)
+                .collect()
+        };
+        // The reference pass and each approximate entry run every
+        // sample through the network once.
+        let approximate = library
+            .entries()
+            .iter()
+            .filter(|e| e.profile.error_rate != 0.0)
+            .count() as u64;
+        carma_trace::counter(
+            "dnn.macs",
+            accuracy.network().macs_per_inference() * evaluator.samples as u64 * (approximate + 1),
+        );
         ContextSeed {
             drops,
             perf: Vec::new(),

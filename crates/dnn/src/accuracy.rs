@@ -17,7 +17,7 @@ use carma_multiplier::{ExactMultiplier, Multiplier, MultiplierEntry, MultiplierL
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::engine::QuantizedNetwork;
+use crate::engine::{ProductTable, QuantizedNetwork};
 use crate::tensor::Tensor;
 
 /// Configuration of the synthetic-ImageNet evaluation.
@@ -98,10 +98,10 @@ impl AccuracyEvaluator {
         assert!(config.samples > 0, "need at least one sample");
         let network = QuantizedNetwork::synthetic(config.input_hw, config.classes, config.seed);
         let inputs = Self::gaussian_mixture(&config);
-        let exact = ExactMultiplier::new(8);
+        let exact = ProductTable::new(&ExactMultiplier::new(8));
         // The reference run is one forward pass per sample — all
         // independent, so fan them out over the execution pool.
-        let exact_predictions = carma_exec::par_map(&inputs, |x| network.predict(x, &exact));
+        let exact_predictions = carma_exec::par_map(&inputs, |x| network.predict_with(x, &exact));
         AccuracyEvaluator {
             config,
             network,
@@ -164,14 +164,17 @@ impl AccuracyEvaluator {
     }
 
     /// Scores `mult`: fraction of samples whose predicted class differs
-    /// from the exact-multiplier prediction.
+    /// from the exact-multiplier prediction. `mult`'s products are
+    /// tabulated once, then every sample runs on the table.
     ///
     /// # Panics
     ///
-    /// Panics if `mult` is not 8 bits wide.
+    /// Panics if `mult` is not 8 bits wide or returns a product wider
+    /// than 16 bits.
     pub fn accuracy_drop(&self, mult: &dyn Multiplier) -> f64 {
+        let table = ProductTable::new(mult);
         let flips = carma_exec::par_map_indexed(&self.inputs, |i, input| {
-            usize::from(self.network.predict(input, mult) != self.exact_predictions[i])
+            usize::from(self.network.predict_with(input, &table) != self.exact_predictions[i])
         })
         .into_iter()
         .sum::<usize>();

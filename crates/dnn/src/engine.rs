@@ -3,13 +3,19 @@
 //! Every multiply in the network is served by a pluggable
 //! [`Multiplier`] — the mechanism by which approximate units change
 //! network behaviour, exactly as in ApproxTrain's LUT-based simulation.
+//! Before a pass the multiplier's products are tabulated once into a
+//! [`ProductTable`]; the kernels then read products from it and never
+//! call the multiplier per MAC.
 //!
 //! Quantization scheme: unsigned 8-bit activations (ReLU networks are
 //! non-negative), signed 8-bit weights handled in **sign-magnitude**
 //! form, so each product is an *unsigned* 8×8 multiplication — the
 //! datatype the paper's approximate multipliers implement — with the
 //! weight sign applied to the accumulator afterwards. Accumulation is
-//! exact 64-bit; each layer requantizes by a calibrated right shift.
+//! exact 32-bit (the bound is asserted when the network is built);
+//! each layer requantizes by a calibrated right shift.
+
+use std::ops::Range;
 
 use carma_multiplier::{ExactMultiplier, Multiplier};
 use rand::rngs::StdRng;
@@ -17,13 +23,60 @@ use rand::{RngExt, SeedableRng};
 
 use crate::tensor::Tensor;
 
-/// A quantized convolution layer (square kernel, symmetric padding).
+/// Largest weight magnitude: weights are drawn from `-127..=127`.
+const MAX_WEIGHT: u8 = 127;
+
+/// Salt separating the calibration input's RNG stream from the
+/// weights' (both derive from the network seed).
+const CALIBRATION_SALT: u64 = 0xCA11_B4A7;
+
+/// Every product an 8-bit multiplier contributes to a forward pass,
+/// tabulated once: `u16` products indexed by `(|w| << 8) | a`, one
+/// 256-entry row per weight magnitude (128 × 256 × 2 B = 64 KiB, small
+/// enough to stay in L1d).
+///
+/// Entries with a zero operand stay 0. The engine never multiplies a
+/// zero operand (a zero activation or weight contributes nothing), and
+/// some approximate units return a non-zero product for one.
+pub(crate) struct ProductTable {
+    rows: Box<[[u16; 256]]>,
+}
+
+impl ProductTable {
+    /// Tabulates `mult` over `a` in `1..=255` and `|w|` in `1..=127`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mult` is not 8 bits wide or returns a product that
+    /// does not fit in 16 bits.
+    pub(crate) fn new(mult: &dyn Multiplier) -> Self {
+        assert_eq!(mult.width(), 8, "engine requires an 8-bit multiplier");
+        let mut rows = vec![[0u16; 256]; usize::from(MAX_WEIGHT) + 1].into_boxed_slice();
+        for (w, row) in rows.iter_mut().enumerate().skip(1) {
+            for (a, product) in row.iter_mut().enumerate().skip(1) {
+                let p = mult.multiply(a as u32, w as u32);
+                *product = u16::try_from(p).unwrap_or_else(|_| {
+                    panic!("{}: product {a}×{w} = {p} exceeds 16 bits", mult.name())
+                });
+            }
+        }
+        ProductTable { rows }
+    }
+
+    /// The products of weight magnitude `|w|` with every activation.
+    #[inline]
+    fn row(&self, w: i8) -> &[u16; 256] {
+        &self.rows[usize::from(w.unsigned_abs())]
+    }
+}
+
+/// A quantized stride-1 convolution layer (square kernel, symmetric
+/// padding).
 #[derive(Debug, Clone)]
 pub struct QConv {
     in_channels: usize,
     out_channels: usize,
     kernel: usize,
-    stride: usize,
     padding: usize,
     /// Weights in `[out_c][in_c][k][k]` order.
     weights: Vec<i8>,
@@ -51,6 +104,17 @@ pub enum QLayer {
     Linear(QLinear),
 }
 
+impl QLayer {
+    /// Products summed into each output (0 for pooling).
+    fn taps(&self) -> usize {
+        match self {
+            QLayer::Conv(c) => c.in_channels * c.kernel * c.kernel,
+            QLayer::MaxPool => 0,
+            QLayer::Linear(l) => l.in_features,
+        }
+    }
+}
+
 /// A small quantized CNN with pluggable multipliers.
 ///
 /// Built via [`QuantizedNetwork::synthetic`], which creates the
@@ -73,7 +137,8 @@ impl QuantizedNetwork {
     /// # Panics
     ///
     /// Panics if `input_hw` is not a positive multiple of 4 or
-    /// `classes` is zero.
+    /// `classes` is zero, or if `input_hw` exceeds 180 (the classifier
+    /// would sum more 16-bit products than an i32 accumulator holds).
     pub fn synthetic(input_hw: usize, classes: usize, seed: u64) -> Self {
         assert!(
             input_hw > 0 && input_hw.is_multiple_of(4),
@@ -83,14 +148,13 @@ impl QuantizedNetwork {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut weights = |n: usize| -> Vec<i8> {
             (0..n)
-                .map(|_| rng.random_range(-127i32..=127) as i8)
+                .map(|_| rng.random_range(-i32::from(MAX_WEIGHT)..=i32::from(MAX_WEIGHT)) as i8)
                 .collect()
         };
         let c1 = QConv {
             in_channels: 3,
             out_channels: 8,
             kernel: 3,
-            stride: 1,
             padding: 1,
             weights: weights(8 * 3 * 9),
             shift: 0,
@@ -99,7 +163,6 @@ impl QuantizedNetwork {
             in_channels: 8,
             out_channels: 16,
             kernel: 3,
-            stride: 1,
             padding: 1,
             weights: weights(16 * 8 * 9),
             shift: 0,
@@ -122,7 +185,14 @@ impl QuantizedNetwork {
                 QLayer::Linear(fc),
             ],
         };
-        net.calibrate(seed ^ 0xCA11_B4A7);
+        for layer in &net.layers {
+            let taps = layer.taps();
+            assert!(
+                taps as u64 * u64::from(u16::MAX) <= i32::MAX as u64,
+                "{taps} taps of 16-bit products overflow the i32 accumulator"
+            );
+        }
+        net.calibrate(seed ^ CALIBRATION_SALT);
         net
     }
 
@@ -148,9 +218,8 @@ impl QuantizedNetwork {
         for layer in &self.layers {
             match layer {
                 QLayer::Conv(c) => {
-                    let out_hw = (hw + 2 * c.padding - c.kernel) / c.stride + 1;
-                    macs += (c.out_channels * c.in_channels * c.kernel * c.kernel * out_hw * out_hw)
-                        as u64;
+                    let out_hw = c.out_hw(hw);
+                    macs += (c.out_channels * layer.taps() * out_hw * out_hw) as u64;
                     hw = out_hw;
                 }
                 QLayer::MaxPool => hw /= 2,
@@ -160,42 +229,36 @@ impl QuantizedNetwork {
         macs
     }
 
-    /// Calibrates per-conv-layer requantization shifts so activations
-    /// occupy the 8-bit range without saturating, using exact
-    /// multiplication on seeded random inputs.
-    fn calibrate(&mut self, seed: u64) {
-        let exact = ExactMultiplier::new(8);
+    /// The seeded random input calibration runs on. One representative
+    /// input is enough: the network is linear up to ReLU, so activation
+    /// scale is input-scale driven.
+    fn calibration_input(&self, seed: u64) -> Tensor<u8> {
         let mut rng = StdRng::seed_from_u64(seed);
-        // One representative random input is enough: the network is
-        // linear up to ReLU, so activation scale is input-scale driven.
-        let input = Tensor::from_vec(
+        Tensor::from_vec(
             self.input_channels,
             self.input_hw,
             self.input_hw,
             (0..self.input_channels * self.input_hw * self.input_hw)
                 .map(|_| rng.random_range(0u32..=255) as u8)
                 .collect(),
-        );
-        // Forward layer by layer, setting each shift from the observed
-        // maximum accumulator value.
-        let mut act = input;
-        let n_layers = self.layers.len();
-        for i in 0..n_layers {
-            match &mut self.layers[i] {
+        )
+    }
+
+    /// Calibrates per-conv-layer requantization shifts so activations
+    /// occupy the 8-bit range without saturating, using exact
+    /// multiplication on a seeded random input. Forwards layer by
+    /// layer, setting each shift from the observed maximum accumulator.
+    fn calibrate(&mut self, seed: u64) {
+        let exact = ProductTable::new(&ExactMultiplier::new(8));
+        let mut act = self.calibration_input(seed);
+        for layer in &mut self.layers {
+            match layer {
                 QLayer::Conv(conv) => {
                     let (acc, out_hw) = conv.accumulate(&act, &exact);
-                    let max = acc.iter().copied().max().unwrap_or(0).max(1);
-                    // Smallest shift with max>>shift ≤ 255.
-                    let mut shift = 0u32;
-                    while (max >> shift) > 255 {
-                        shift += 1;
-                    }
-                    conv.shift = shift;
+                    conv.shift = calibrated_shift(acc.iter().copied().max().map_or(0, i64::from));
                     act = conv.requantize(&acc, out_hw);
                 }
-                QLayer::MaxPool => {
-                    act = max_pool_2x2(&act);
-                }
+                QLayer::MaxPool => act = max_pool_2x2(&act),
                 QLayer::Linear(_) => {}
             }
         }
@@ -206,9 +269,14 @@ impl QuantizedNetwork {
     /// # Panics
     ///
     /// Panics if the input shape does not match the network, or if the
-    /// multiplier is not 8 bits wide.
+    /// multiplier is not 8 bits wide or returns a product wider than
+    /// 16 bits.
     pub fn forward(&self, input: &Tensor<u8>, mult: &dyn Multiplier) -> Vec<i64> {
-        assert_eq!(mult.width(), 8, "engine requires an 8-bit multiplier");
+        self.forward_with(input, &ProductTable::new(mult))
+    }
+
+    /// [`Self::forward`] over an already tabulated multiplier.
+    pub(crate) fn forward_with(&self, input: &Tensor<u8>, table: &ProductTable) -> Vec<i64> {
         assert_eq!(input.channels(), self.input_channels, "channel mismatch");
         assert_eq!(input.height(), self.input_hw, "height mismatch");
         assert_eq!(input.width(), self.input_hw, "width mismatch");
@@ -217,15 +285,11 @@ impl QuantizedNetwork {
         for layer in &self.layers {
             match layer {
                 QLayer::Conv(conv) => {
-                    let (acc, out_hw) = conv.accumulate(&act, mult);
+                    let (acc, out_hw) = conv.accumulate(&act, table);
                     act = conv.requantize(&acc, out_hw);
                 }
-                QLayer::MaxPool => {
-                    act = max_pool_2x2(&act);
-                }
-                QLayer::Linear(lin) => {
-                    logits = lin.forward(&act, mult);
-                }
+                QLayer::MaxPool => act = max_pool_2x2(&act),
+                QLayer::Linear(lin) => logits = lin.forward(&act, table),
             }
         }
         logits
@@ -238,54 +302,109 @@ impl QuantizedNetwork {
     ///
     /// Same conditions as [`Self::forward`].
     pub fn predict(&self, input: &Tensor<u8>, mult: &dyn Multiplier) -> usize {
-        let logits = self.forward(input, mult);
-        argmax(&logits)
+        argmax(&self.forward(input, mult))
+    }
+
+    /// [`Self::predict`] over an already tabulated multiplier.
+    pub(crate) fn predict_with(&self, input: &Tensor<u8>, table: &ProductTable) -> usize {
+        argmax(&self.forward_with(input, table))
     }
 }
 
+/// Smallest right shift that brings `max` (floored at 1) into `0..=255`.
+fn calibrated_shift(max: i64) -> u32 {
+    let max = max.max(1);
+    let mut shift = 0u32;
+    while (max >> shift) > 255 {
+        shift += 1;
+    }
+    shift
+}
+
 impl QConv {
+    /// Output spatial size for an `in_hw` input.
+    fn out_hw(&self, in_hw: usize) -> usize {
+        in_hw + 2 * self.padding - self.kernel + 1
+    }
+
+    /// The output rows whose input row under kernel row `ky` lies
+    /// inside the image (the rest read padding, which is zero and
+    /// contributes nothing).
+    fn rows_inside(&self, ky: usize, in_hw: usize, out_hw: usize) -> Range<usize> {
+        let lo = self.padding.saturating_sub(ky);
+        let hi = (in_hw + self.padding).saturating_sub(ky).min(out_hw);
+        lo..hi.max(lo)
+    }
+
     /// Convolves `input`, returning raw ReLU-ed accumulators (flat
     /// `[out_c][y][x]`) and the output spatial size.
-    fn accumulate(&self, input: &Tensor<u8>, mult: &dyn Multiplier) -> (Vec<i64>, usize) {
+    ///
+    /// Weight-stationary over a copy of the input whose rows carry
+    /// `padding` zero columns on both sides. Each output channel
+    /// accumulates into a plane with the same row pitch, so a tap
+    /// `(ky, kx)` adds its products over one contiguous run spanning
+    /// every output row it reaches: a row's end wraps into the pitch's
+    /// spare columns, which are discarded. Neither padding nor row
+    /// boundaries enter the inner loop, and the weight sign picks the
+    /// loop rather than a per-MAC branch.
+    fn accumulate(&self, input: &Tensor<u8>, table: &ProductTable) -> (Vec<i32>, usize) {
         let in_hw = input.height();
-        let out_hw = (in_hw + 2 * self.padding - self.kernel) / self.stride + 1;
-        let mut acc = vec![0i64; self.out_channels * out_hw * out_hw];
-        for oc in 0..self.out_channels {
-            for oy in 0..out_hw {
-                for ox in 0..out_hw {
-                    let mut sum = 0i64;
-                    for ic in 0..self.in_channels {
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let iy = (oy * self.stride + ky) as isize - self.padding as isize;
-                                let ix = (ox * self.stride + kx) as isize - self.padding as isize;
-                                if iy < 0 || ix < 0 || iy >= in_hw as isize || ix >= in_hw as isize
-                                {
-                                    continue;
-                                }
-                                let a = *input.get(ic, iy as usize, ix as usize);
-                                let w = self.weights[((oc * self.in_channels + ic) * self.kernel
-                                    + ky)
-                                    * self.kernel
-                                    + kx];
-                                if a == 0 || w == 0 {
-                                    continue;
-                                }
-                                let p = mult.multiply(u32::from(a), w.unsigned_abs() as u32) as i64;
-                                sum += if w < 0 { -p } else { p };
+        let out_hw = self.out_hw(in_hw);
+        let (k, pad) = (self.kernel, self.padding);
+        let pitch = in_hw + 2 * pad;
+        let mut padded = vec![0u8; self.in_channels * in_hw * pitch];
+        for (dst, src) in padded
+            .chunks_exact_mut(pitch)
+            .zip(input.as_slice().chunks_exact(in_hw))
+        {
+            dst[pad..pad + in_hw].copy_from_slice(src);
+        }
+        let rows: Vec<Range<usize>> = (0..k)
+            .map(|ky| self.rows_inside(ky, in_hw, out_hw))
+            .collect();
+        let mut plane = vec![0i32; out_hw * pitch];
+        let mut acc = Vec::with_capacity(self.out_channels * out_hw * out_hw);
+        for filter in self.weights.chunks_exact(self.in_channels * k * k) {
+            plane.fill(0);
+            let images = padded.chunks_exact(in_hw * pitch);
+            for (image, taps) in images.zip(filter.chunks_exact(k * k)) {
+                for (ky, (ys, taps)) in rows.iter().zip(taps.chunks_exact(k)).enumerate() {
+                    if ys.is_empty() {
+                        continue;
+                    }
+                    // From the first reached row's column 0 to the last
+                    // reached row's last output column.
+                    let len = (ys.len() - 1) * pitch + out_hw;
+                    let dst = &mut plane[ys.start * pitch..][..len];
+                    let first_input_row = ys.start + ky - pad;
+                    for (kx, &w) in taps.iter().enumerate() {
+                        if w == 0 {
+                            continue;
+                        }
+                        let row = table.row(w);
+                        let src = &image[first_input_row * pitch + kx..][..len];
+                        if w > 0 {
+                            for (d, &a) in dst.iter_mut().zip(src) {
+                                *d += i32::from(row[usize::from(a)]);
+                            }
+                        } else {
+                            for (d, &a) in dst.iter_mut().zip(src) {
+                                *d -= i32::from(row[usize::from(a)]);
                             }
                         }
                     }
-                    // ReLU.
-                    acc[(oc * out_hw + oy) * out_hw + ox] = sum.max(0);
                 }
+            }
+            // ReLU, dropping the spare columns.
+            for r in plane.chunks_exact(pitch) {
+                acc.extend(r[..out_hw].iter().map(|&v| v.max(0)));
             }
         }
         (acc, out_hw)
     }
 
     /// Requantizes ReLU-ed accumulators to u8 via the calibrated shift.
-    fn requantize(&self, acc: &[i64], out_hw: usize) -> Tensor<u8> {
+    fn requantize(&self, acc: &[i32], out_hw: usize) -> Tensor<u8> {
         let data = acc
             .iter()
             .map(|&v| ((v >> self.shift).min(255)) as u8)
@@ -296,23 +415,27 @@ impl QConv {
 
 impl QLinear {
     /// Dense forward returning raw logits.
-    fn forward(&self, input: &Tensor<u8>, mult: &dyn Multiplier) -> Vec<i64> {
+    fn forward(&self, input: &Tensor<u8>, table: &ProductTable) -> Vec<i64> {
         let flat = input.as_slice();
         debug_assert_eq!(flat.len(), self.in_features, "fc input size mismatch");
-        let mut out = vec![0i64; self.out_features];
-        for (o, out_val) in out.iter_mut().enumerate() {
-            let mut sum = 0i64;
-            for (i, &a) in flat.iter().enumerate() {
-                let w = self.weights[o * self.in_features + i];
-                if a == 0 || w == 0 {
-                    continue;
-                }
-                let p = mult.multiply(u32::from(a), w.unsigned_abs() as u32) as i64;
-                sum += if w < 0 { -p } else { p };
-            }
-            *out_val = sum;
-        }
-        out
+        self.weights
+            .chunks_exact(self.in_features)
+            .map(|weights| {
+                let sum: i32 = weights
+                    .iter()
+                    .zip(flat)
+                    .map(|(&w, &a)| {
+                        let p = i32::from(table.row(w)[usize::from(a)]);
+                        if w < 0 {
+                            -p
+                        } else {
+                            p
+                        }
+                    })
+                    .sum();
+                i64::from(sum)
+            })
+            .collect()
     }
 }
 
@@ -350,6 +473,9 @@ fn argmax(values: &[i64]) -> usize {
         .map(|(i, _)| i)
         .unwrap_or(0)
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -28,14 +28,12 @@
 //! ```
 
 pub mod accuracy;
-pub mod analytic;
 pub mod engine;
 pub mod layer;
 pub mod model;
 pub mod tensor;
 
 pub use accuracy::{AccuracyEvaluator, AccuracyReport, EvaluatorConfig};
-pub use analytic::AnalyticAccuracyModel;
 pub use engine::QuantizedNetwork;
 pub use layer::{Layer, LayerKind};
 pub use model::DnnModel;

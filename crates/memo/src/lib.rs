@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The three stages of the memoized compute graph, in dependency
 /// order: a context key embeds its library key, a cell key embeds its
@@ -314,7 +314,7 @@ impl MemoStore {
             span.annotate("hit");
             return v;
         }
-        // Single-flight: one lock per key; losers of the race block
+        // Single-flight: one gate per key; losers of the race block
         // here, then find the winner's value in the memory recheck.
         let gate = Arc::clone(
             self.in_flight
@@ -323,31 +323,42 @@ impl MemoStore {
                 .entry(key.clone())
                 .or_default(),
         );
-        let _guard = gate.lock().expect("in-flight key lock");
-        if let Some(v) = self.memory_get::<T>(&key) {
-            counters.hits.fetch_add(1, Ordering::Relaxed);
-            span.annotate("hit");
-            return v;
-        }
-        if let Some(path) = self.disk_path(stage, fp) {
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                if let Some(value) = decode(&text) {
-                    let value = Arc::new(value);
-                    self.memory_put(key, Arc::clone(&value));
-                    counters.hits.fetch_add(1, Ordering::Relaxed);
-                    counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    span.annotate("disk_hit");
-                    return value;
+        // The gate guards `()`: the recheck, not the lock, decides
+        // between hit and compute. A gate poisoned by a compute that
+        // panicked is recovered, and the next request computes afresh.
+        let _guard = gate.lock().unwrap_or_else(PoisonError::into_inner);
+        let value = 'filled: {
+            if let Some(v) = self.memory_get::<T>(&key) {
+                counters.hits.fetch_add(1, Ordering::Relaxed);
+                span.annotate("hit");
+                break 'filled v;
+            }
+            if let Some(path) = self.disk_path(stage, fp) {
+                if let Ok(text) = std::fs::read_to_string(&path) {
+                    if let Some(value) = decode(&text) {
+                        let value = Arc::new(value);
+                        self.memory_put(key.clone(), Arc::clone(&value));
+                        counters.hits.fetch_add(1, Ordering::Relaxed);
+                        counters.disk_hits.fetch_add(1, Ordering::Relaxed);
+                        span.annotate("disk_hit");
+                        break 'filled value;
+                    }
                 }
             }
-        }
-        let value = Arc::new(compute());
-        if self.dir.is_some() {
-            self.write_disk(stage, fp, &encode(&value));
-        }
-        self.memory_put(key, Arc::clone(&value));
-        counters.misses.fetch_add(1, Ordering::Relaxed);
-        span.annotate("miss");
+            let value = Arc::new(compute());
+            if self.dir.is_some() {
+                self.write_disk(stage, fp, &encode(&value));
+            }
+            self.memory_put(key.clone(), Arc::clone(&value));
+            counters.misses.fetch_add(1, Ordering::Relaxed);
+            span.annotate("miss");
+            value
+        };
+        // The value is in memory now: later requests hit before they
+        // reach a gate, and waiters already holding this one find it
+        // on their recheck. Dropping the entry keeps `in_flight`
+        // bounded by the misses under way.
+        self.in_flight.lock().expect("in-flight lock").remove(&key);
         value
     }
 
@@ -544,6 +555,117 @@ mod tests {
             assert!(entries.is_empty(), "disk write for a non-hex key");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn panicking_compute_leaves_the_key_usable() {
+        let store = MemoStore::in_memory();
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.get_or_compute(Stage::Cell, "flaky", encode_u32, decode_u32, || -> u32 {
+                panic!("compute failed")
+            })
+        }));
+        assert!(failed.is_err(), "the compute's panic propagates");
+        let v = store.get_or_compute(Stage::Cell, "flaky", encode_u32, decode_u32, || 3u32);
+        assert_eq!(*v, 3, "a poisoned gate must not fail later requests");
+        let v = store.get_or_compute(Stage::Cell, "flaky", encode_u32, decode_u32, || {
+            panic!("must hit")
+        });
+        assert_eq!(*v, 3);
+        assert_eq!(
+            store.stats().cell,
+            StageCounts {
+                hits: 1,
+                misses: 1,
+                disk_hits: 0
+            }
+        );
+        assert!(store.in_flight.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn in_flight_gates_are_dropped_once_values_are_stored() {
+        let dir = tempdir("gates");
+        let store = MemoStore::with_disk(dir.clone()).expect("create dirs");
+        for i in 0..64u32 {
+            store.get_or_compute(
+                Stage::Library,
+                &format!("k{i}"),
+                encode_u32,
+                decode_u32,
+                || i,
+            );
+        }
+        assert!(store.in_flight.lock().unwrap().is_empty());
+        // Disk hits store into memory too, and drop their gates.
+        let reopened = MemoStore::with_disk(dir.clone()).expect("reopen dirs");
+        for i in 0..64u32 {
+            let v = reopened.get_or_compute(
+                Stage::Library,
+                &format!("k{i}"),
+                encode_u32,
+                decode_u32,
+                || panic!("served from disk"),
+            );
+            assert_eq!(*v, i);
+        }
+        assert_eq!(reopened.stats().library.disk_hits, 64);
+        assert!(reopened.in_flight.lock().unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_compute_once() {
+        const THREADS: usize = 8;
+        let store = MemoStore::in_memory();
+        let key = format!("{}/{}", Stage::Context.as_str(), fingerprint("shared"));
+        let computes = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    let v = store.get_or_compute(
+                        Stage::Context,
+                        "shared",
+                        encode_u32,
+                        decode_u32,
+                        || {
+                            // Hold the compute until every thread holds this
+                            // key's gate (the map's copy plus one each), so
+                            // the other seven are all waiting on it.
+                            let deadline =
+                                std::time::Instant::now() + std::time::Duration::from_secs(10);
+                            while store
+                                .in_flight
+                                .lock()
+                                .unwrap()
+                                .get(&key)
+                                .map_or(0, Arc::strong_count)
+                                < 1 + THREADS
+                            {
+                                assert!(
+                                    std::time::Instant::now() < deadline,
+                                    "threads never met at the gate"
+                                );
+                                std::thread::yield_now();
+                            }
+                            computes.fetch_add(1, Ordering::Relaxed);
+                            11u32
+                        },
+                    );
+                    assert_eq!(*v, 11);
+                });
+            }
+        });
+        assert_eq!(computes.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            store.stats().context,
+            StageCounts {
+                hits: THREADS as u64 - 1,
+                misses: 1,
+                disk_hits: 0
+            }
+        );
+        assert!(store.in_flight.lock().unwrap().is_empty());
     }
 
     #[test]

@@ -1,17 +1,13 @@
 //! Cross-crate tooling integration: Verilog export, equivalence
-//! checking, LUT serialization, roofline analysis, report generation
-//! and the analytic accuracy surrogate — the supporting toolchain
-//! around the headline flow.
+//! checking, LUT serialization, roofline analysis and report
+//! generation — the supporting toolchain around the headline flow.
 
 use carma_core::report::{design_report, to_csv};
 use carma_core::{CarmaContext, DesignPoint};
 use carma_dataflow::{Accelerator, RooflineReport};
 use carma_dnn::accuracy::{AccuracyEvaluator, EvaluatorConfig};
-use carma_dnn::analytic::AnalyticAccuracyModel;
 use carma_dnn::DnnModel;
-use carma_multiplier::{
-    ApproxGenome, LutMultiplier, Multiplier, MultiplierCircuit, MultiplierLibrary, ReductionKind,
-};
+use carma_multiplier::{ApproxGenome, LutMultiplier, Multiplier, MultiplierCircuit, ReductionKind};
 use carma_netlist::equiv::check_equivalence;
 use carma_netlist::{to_verilog, TechNode};
 
@@ -110,50 +106,4 @@ fn report_pipeline_produces_complete_markdown() {
         ]],
     );
     assert!(csv.starts_with("model,carbon_g\n"));
-}
-
-#[test]
-fn analytic_surrogate_tracks_behavioural_ranking() {
-    let eval = AccuracyEvaluator::new(EvaluatorConfig {
-        samples: 48,
-        ..EvaluatorConfig::default()
-    });
-    // Depth 6 so the ladder spans the whole drop range: shallow
-    // truncation (≤3 bits) provably never flips a prediction on this
-    // workload, and a ladder made only of such entries would leave the
-    // concordance check vacuous.
-    let lib = MultiplierLibrary::truncation_ladder(8, 6);
-    let model = AnalyticAccuracyModel::calibrate(&eval, &lib);
-    // Kendall-style concordance: among entry pairs with clearly
-    // different measured drops, the surrogate must order most of them
-    // the same way.
-    let measured: Vec<(f64, f64)> = eval
-        .evaluate_library(&lib)
-        .into_iter()
-        .map(|(e, d)| (model.estimate(&e.profile), d))
-        .collect();
-    let mut concordant = 0;
-    let mut discordant = 0;
-    for i in 0..measured.len() {
-        for j in (i + 1)..measured.len() {
-            let (est_i, meas_i) = measured[i];
-            let (est_j, meas_j) = measured[j];
-            if (meas_i - meas_j).abs() < 0.02 {
-                continue; // too close to call behaviourally
-            }
-            if (est_i - est_j) * (meas_i - meas_j) > 0.0 {
-                concordant += 1;
-            } else {
-                discordant += 1;
-            }
-        }
-    }
-    assert!(
-        concordant + discordant > 0,
-        "no behaviourally distinguishable pairs: the check is vacuous"
-    );
-    assert!(
-        concordant > 2 * discordant,
-        "surrogate ranking too weak: {concordant} vs {discordant}"
-    );
 }

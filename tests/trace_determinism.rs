@@ -7,11 +7,15 @@
 //! - a traced run's report is byte-identical to an untraced one
 //!   (tracing is pure observation; `provenance` is attached by the CLI,
 //!   never by the registry, and is excluded from every report sink);
-//! - the memo stages annotate their spans with hit/miss outcomes.
+//! - the memo stages annotate their spans with hit/miss outcomes;
+//! - a context miss explains its time: the accuracy reference pass and
+//!   the library pass are child spans of `memo.context`, and the
+//!   `dnn.macs` counter records the work they did.
 
 use std::sync::Arc;
 
 use carma_core::scenario::{ExperimentRegistry, RunEnv, Scale, ScenarioSpec};
+use carma_dnn::QuantizedNetwork;
 use carma_trace::Collector;
 
 /// A small fig2 variant: same stages and span structure as the paper
@@ -98,4 +102,54 @@ fn memo_spans_carry_hit_and_miss_annotations() {
         annotations.contains(&"hit"),
         "repeat memo stages must record `hit`: {annotations:?}"
     );
+}
+
+#[test]
+fn context_miss_has_accuracy_child_spans_and_a_mac_counter() {
+    let collector = Arc::new(Collector::new());
+    let registry = ExperimentRegistry::standard();
+    let spec = small_fig2();
+    carma_trace::with_collector(&collector, || {
+        registry
+            .run_with_env(&spec, None, Some(1), &RunEnv::standard())
+            .expect("scenario runs")
+    });
+    let trace = collector.snapshot();
+    let misses: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "memo.context" && s.annotation == Some("miss"))
+        .collect();
+    assert!(!misses.is_empty(), "a cold run misses the context stage");
+    for miss in &misses {
+        for child in ["accuracy.reference", "accuracy.library"] {
+            let under = trace
+                .spans
+                .iter()
+                .filter(|s| s.name == child && s.parent == miss.id)
+                .count();
+            assert_eq!(under, 1, "`{child}` spans under one `memo.context` miss");
+        }
+    }
+
+    // macs_per_inference × samples × (approximate entries + 1), per miss.
+    let resolved = spec.resolve(&registry, None, None).expect("resolves");
+    let evaluator = resolved.evaluator();
+    let per_inference =
+        QuantizedNetwork::synthetic(evaluator.input_hw, evaluator.classes, evaluator.seed)
+            .macs_per_inference();
+    let approximate = resolved
+        .library()
+        .entries()
+        .iter()
+        .filter(|e| e.profile.error_rate != 0.0)
+        .count() as u64;
+    let expected =
+        misses.len() as u64 * per_inference * evaluator.samples as u64 * (approximate + 1);
+    let counted = trace
+        .counters
+        .iter()
+        .find(|(name, _)| *name == "dnn.macs")
+        .map(|&(_, v)| v);
+    assert_eq!(counted, Some(expected), "dnn.macs counter");
 }
