@@ -1,29 +1,23 @@
 //! # carma-bench
 //!
-//! Experiment-regeneration binaries (one per paper table/figure, see
-//! DESIGN.md §5) and Criterion performance benches for the CARMA
-//! stack.
+//! Benchmark binaries for the CARMA stack, each emitting a committed
+//! `BENCH_*.json`:
 //!
-//! Since the scenario API landed, every binary is a thin shim over
-//! [`carma_core::scenario::ExperimentRegistry`] — the unified `carma`
-//! CLI (`carma list`, `carma run <name>`) runs the same registry with
-//! spec files, format selection and output redirection on top. The
-//! binaries keep their historical behaviour: `CARMA_SCALE=quick|full`
-//! selects the scale, `fig2`/`fig3` drop their CSV next to the
-//! invocation, and stdout carries banner + table + observations.
+//! - `bench_parallel`: library characterization and one GA generation
+//!   at 1, 2 and N threads;
+//! - `bench_incremental`: stage-memo reuse across overlapping
+//!   scenarios;
+//! - `bench_serve`: `carma-serve` miss latency and hit throughput.
+//!
+//! The paper's figures, tables and ablations are registry experiments:
+//! run them with `carma run <name>` (the README's experiment index
+//! lists every name).
 //!
 //! ```text
-//! CARMA_SCALE=full cargo run --release -p carma-bench --bin fig2
-//! # equivalently, via the unified CLI:
-//! cargo run --release --bin carma -- run fig2 --scale full
+//! cargo run --release -p carma-bench --bin bench_parallel
 //! ```
 
-use carma_core::scenario::{ExperimentRegistry, ScenarioSpec};
-
-/// Experiment scale, re-exported from the scenario API (`carma-bench`
-/// keeps the name so benches and downstream code compile unchanged;
-/// `Scale::from_env` remains the thin env-only wrapper).
-pub use carma_core::scenario::Scale;
+use carma_core::scenario::Scale;
 
 /// Prints a standard experiment banner.
 pub fn banner(name: &str, scale: Scale) {
@@ -45,43 +39,6 @@ pub fn time_it<R>(name: &'static str, f: impl FnOnce() -> R) -> (f64, R) {
     (start.elapsed().as_secs_f64(), result)
 }
 
-/// The body of every legacy experiment binary: run the named
-/// experiment with its default spec (scale/threads from the
-/// environment), print banner + tables + notes, and write the legacy
-/// CSV artifact where the binary historically did.
-pub fn shim_main(name: &str) {
-    // Surface mistyped CARMA_SCALE / CARMA_THREADS before the silent
-    // lenient fallbacks (quick scale / available parallelism) apply.
-    // Diagnostics go through the trace crate's locked stderr writer so
-    // they stay line-atomic next to worker-thread output.
-    if let Some(warning) = carma_core::scenario::scale_env_diagnostic() {
-        carma_trace::diag(&warning);
-    }
-    if let Some(warning) = carma_core::scenario::threads_env_diagnostic() {
-        carma_trace::diag(&warning);
-    }
-    let registry = ExperimentRegistry::standard();
-    let info = registry
-        .get(name)
-        .unwrap_or_else(|| panic!("`{name}` is not a registered experiment"));
-    // Banner first, so long runs show what they are working on.
-    banner(info.title, Scale::from_env());
-    let report = match registry.run(&ScenarioSpec::named(name)) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    print!("{}", report.tables_text());
-    if let Some(path) = info.csv_artifact {
-        if std::fs::write(path, report.to_csv()).is_ok() {
-            println!("(rows written to {path})\n");
-        }
-    }
-    print!("{}", report.notes_text());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,23 +55,5 @@ mod tests {
     fn quick_ga_is_smaller_than_full() {
         assert!(Scale::Quick.ga().population <= Scale::Full.ga().population);
         assert!(Scale::Quick.ga().generations <= Scale::Full.ga().generations);
-    }
-
-    #[test]
-    fn every_shim_target_is_registered() {
-        let registry = ExperimentRegistry::standard();
-        for name in [
-            "fig2",
-            "fig3",
-            "table1",
-            "ablation_family",
-            "ablation_grid",
-            "ablation_metric",
-            "ablation_search",
-            "ablation_yield",
-            "bench_parallel",
-        ] {
-            assert!(registry.get(name).is_some(), "missing `{name}`");
-        }
     }
 }

@@ -1,17 +1,13 @@
-//! Smoke tests: every figure/table/ablation binary must run to
-//! completion at `CARMA_SCALE=quick` and produce output.
+//! Smoke tests: the benchmark binaries must run to completion at
+//! `CARMA_SCALE=quick` and print their banner.
 //!
-//! Each binary runs in its own scratch directory so CSV artifacts
-//! (`fig2.csv`, …) never land in the repository.
+//! Each binary runs in its own scratch directory so the `BENCH_*.json`
+//! files it writes never land in the repository.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-fn run_bin(exe: &str, name: &str) {
-    run_bin_with(exe, name, &[]);
-}
-
-fn run_bin_with(exe: &str, name: &str, args: &[&str]) {
+fn run_bin(exe: &str, name: &str, args: &[&str]) {
     let dir = scratch_dir(name);
     let output = Command::new(exe)
         .args(args)
@@ -40,50 +36,10 @@ fn scratch_dir(name: &str) -> PathBuf {
 }
 
 #[test]
-fn fig2_runs_to_completion() {
-    run_bin(env!("CARGO_BIN_EXE_fig2"), "fig2");
-}
-
-#[test]
-fn fig3_runs_to_completion() {
-    run_bin(env!("CARGO_BIN_EXE_fig3"), "fig3");
-}
-
-#[test]
-fn table1_runs_to_completion() {
-    run_bin(env!("CARGO_BIN_EXE_table1"), "table1");
-}
-
-#[test]
-fn ablation_family_runs_to_completion() {
-    run_bin(env!("CARGO_BIN_EXE_ablation_family"), "ablation_family");
-}
-
-#[test]
-fn ablation_grid_runs_to_completion() {
-    run_bin(env!("CARGO_BIN_EXE_ablation_grid"), "ablation_grid");
-}
-
-#[test]
-fn ablation_metric_runs_to_completion() {
-    run_bin(env!("CARGO_BIN_EXE_ablation_metric"), "ablation_metric");
-}
-
-#[test]
-fn ablation_search_runs_to_completion() {
-    run_bin(env!("CARGO_BIN_EXE_ablation_search"), "ablation_search");
-}
-
-#[test]
-fn ablation_yield_runs_to_completion() {
-    run_bin(env!("CARGO_BIN_EXE_ablation_yield"), "ablation_yield");
-}
-
-#[test]
 fn bench_parallel_runs_to_completion() {
     // Also covers the binary's internal cross-width determinism
     // assertions; BENCH_parallel.json lands in the scratch dir.
-    run_bin(env!("CARGO_BIN_EXE_bench_parallel"), "bench_parallel");
+    run_bin(env!("CARGO_BIN_EXE_bench_parallel"), "bench_parallel", &[]);
 }
 
 #[test]
@@ -91,7 +47,7 @@ fn bench_incremental_runs_to_completion() {
     // `--test` pins quick scale; the binary asserts the warm-overlap
     // speedup floor, memo hit counters, and byte-identical reports
     // internally. BENCH_incremental.json lands in the scratch dir.
-    run_bin_with(
+    run_bin(
         env!("CARGO_BIN_EXE_bench_incremental"),
         "bench_incremental",
         &["--test"],

@@ -1,7 +1,7 @@
 //! Experiment drivers regenerating every table and figure of the
-//! paper's evaluation (see DESIGN.md §5 for the index). The bench
-//! binaries in `carma-bench` print these rows; the integration tests
-//! assert their qualitative shape.
+//! paper's evaluation (the README's experiment index maps each to its
+//! `carma run` name). The registry runners print these rows; the
+//! integration tests assert their qualitative shape.
 
 use carma_dnn::DnnModel;
 use carma_ga::GaConfig;
@@ -30,15 +30,11 @@ pub struct Fig2Row {
     pub carbon_g: f64,
 }
 
-/// Regenerates the Figure 2 scatter for `model` on `ctx`'s node
-/// (the paper plots VGG16 at 7 nm) over the paper's class/FPS grid.
-pub fn fig2_scatter(ctx: &CarmaContext, model: &DnnModel, ga: GaConfig) -> Vec<Fig2Row> {
-    fig2_scatter_with(ctx, model, ga, &ACCURACY_CLASSES, &FPS_THRESHOLDS)
-}
-
-/// [`fig2_scatter`] over an explicit constraint grid: one
-/// approximate-only series per accuracy class, one GA-CDP point per
-/// FPS threshold (constrained by the *last* — loosest — class).
+/// Regenerates the Figure 2 scatter for `model` on `ctx`'s node (the
+/// paper plots VGG16 at 7 nm over [`ACCURACY_CLASSES`] ×
+/// [`FPS_THRESHOLDS`]): one approximate-only series per accuracy
+/// class, one GA-CDP point per FPS threshold (constrained by the
+/// *last* — loosest — class).
 ///
 /// # Panics
 ///
@@ -103,13 +99,8 @@ pub struct ReductionRow {
     pub peak_pct: f64,
 }
 
-/// Regenerates the Figure 2 reduction table for one node over the
-/// paper's accuracy classes.
-pub fn reduction_table(ctx: &CarmaContext, model: &DnnModel) -> Vec<ReductionRow> {
-    reduction_table_with(ctx, model, &ACCURACY_CLASSES)
-}
-
-/// [`reduction_table`] over an explicit accuracy-class grid.
+/// Regenerates the Figure 2 reduction table for one node over an
+/// accuracy-class grid (the paper's is [`ACCURACY_CLASSES`]).
 pub fn reduction_table_with(
     ctx: &CarmaContext,
     model: &DnnModel,
@@ -157,26 +148,13 @@ pub struct Fig3Row {
     pub exact_carbon_g: f64,
 }
 
-/// Regenerates one Figure 3 bar group.
+/// Regenerates one Figure 3 bar group at `constraints` (FPS floor for
+/// the exact baseline and the GA, accuracy budget for the approximate
+/// arms).
 ///
 /// The paper's protocol: exact baseline = smallest NVDLA preset meeting
 /// 30 FPS; approximate version = same architecture with an up-to-2 %
 /// multiplier; GA-CDP = full search at the same constraints.
-pub fn fig3_row(ctx: &CarmaContext, model: &DnnModel, ga: GaConfig) -> Fig3Row {
-    fig3_row_with(
-        ctx,
-        model,
-        ga,
-        Constraints::new(
-            FPS_THRESHOLDS[0],
-            *ACCURACY_CLASSES.last().expect("non-empty"),
-        )
-        .expect("paper thresholds are valid"),
-    )
-}
-
-/// [`fig3_row`] at explicit constraints (FPS floor for the exact
-/// baseline and the GA, accuracy budget for the approximate arms).
 pub fn fig3_row_with(
     ctx: &CarmaContext,
     model: &DnnModel,
@@ -206,23 +184,8 @@ pub fn fig3_row_with(
     }
 }
 
-/// Regenerates the full Figure 3: every paper model on every provided
-/// context (one per node).
-pub fn fig3(contexts: &[CarmaContext], ga: GaConfig) -> Vec<Fig3Row> {
-    fig3_with(
-        contexts,
-        ga,
-        &DnnModel::paper_zoo(),
-        Constraints::new(
-            FPS_THRESHOLDS[0],
-            *ACCURACY_CLASSES.last().expect("non-empty"),
-        )
-        .expect("paper thresholds are valid"),
-    )
-}
-
-/// [`fig3`] over explicit models and constraints (model-major, then
-/// node — the paper's bar-group order).
+/// Regenerates Figure 3: every model on every provided context (one
+/// per node), model-major then node — the paper's bar-group order.
 pub fn fig3_with(
     contexts: &[CarmaContext],
     ga: GaConfig,
@@ -247,8 +210,8 @@ pub(crate) fn serialize_node<S: serde::Serializer>(
     s.serialize_str(&node.to_string())
 }
 
-/// Renders rows as an aligned plain-text table (used by the bench
-/// binaries; kept here so integration tests can snapshot it).
+/// Renders rows as an aligned plain-text table (the text sink of
+/// every report artifact).
 pub fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {

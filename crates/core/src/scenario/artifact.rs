@@ -125,17 +125,6 @@ pub struct DeploymentRow {
     pub crossover_h: Option<f64>,
 }
 
-/// One wall-clock measurement of the `bench_parallel` sweep.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ParallelRow {
-    /// Pipeline stage (`library_characterization`, `ga_generation`).
-    pub stage: String,
-    /// Pool width of the measurement.
-    pub threads: usize,
-    /// Wall-clock, seconds.
-    pub wall_s: f64,
-}
-
 /// One circuit's summary line of the `lint` experiment: structural
 /// stats, diagnostic counts, and the static error bound next to the
 /// dynamically measured worst-case error it must dominate.
@@ -184,8 +173,7 @@ pub struct LintFindingRow {
     pub message: String,
 }
 
-/// A typed experiment result table — one variant per row family,
-/// unifying everything the nine legacy binaries printed.
+/// A typed experiment result table — one variant per row family.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Artifact {
     /// Figure 2 scatter points.
@@ -206,8 +194,6 @@ pub enum Artifact {
     Yield(Vec<YieldRow>),
     /// `deployment` sweep cells.
     Deployment(Vec<DeploymentRow>),
-    /// `bench_parallel` measurements.
-    Parallel(Vec<ParallelRow>),
     /// `lint` per-circuit summaries.
     Lint(Vec<LintRow>),
     /// `lint` per-diagnostic findings.
@@ -231,7 +217,6 @@ impl Artifact {
             Artifact::Search(_) => "search",
             Artifact::Yield(_) => "yield",
             Artifact::Deployment(_) => "deployment",
-            Artifact::Parallel(_) => "parallel",
             Artifact::Lint(_) => "lint",
             Artifact::LintFinding(_) => "lint_finding",
         }
@@ -249,7 +234,6 @@ impl Artifact {
             Artifact::Search(r) => r.len(),
             Artifact::Yield(r) => r.len(),
             Artifact::Deployment(r) => r.len(),
-            Artifact::Parallel(r) => r.len(),
             Artifact::Lint(r) => r.len(),
             Artifact::LintFinding(r) => r.len(),
         }
@@ -260,8 +244,7 @@ impl Artifact {
         self.len() == 0
     }
 
-    /// Column header of the rendered table (matches what the legacy
-    /// binaries printed).
+    /// Column header of the rendered text table.
     pub fn header(&self) -> Vec<String> {
         let own = |cols: &[&str]| cols.iter().map(std::string::ToString::to_string).collect();
         match self {
@@ -319,7 +302,6 @@ impl Artifact {
                 "saving %",
                 "crossover [h]",
             ]),
-            Artifact::Parallel(_) => own(&["stage", "threads", "wall [s]"]),
             Artifact::Lint(_) => own(&[
                 "family",
                 "circuit",
@@ -339,8 +321,7 @@ impl Artifact {
         }
     }
 
-    /// Machine-readable column names for the CSV sink (snake_case;
-    /// matches the headers the legacy `fig2`/`fig3` binaries wrote).
+    /// Machine-readable column names for the CSV sink (snake_case).
     pub fn csv_header(&self) -> Vec<String> {
         let own = |cols: &[&str]| cols.iter().map(std::string::ToString::to_string).collect();
         match self {
@@ -398,7 +379,6 @@ impl Artifact {
                 "total_saving_pct",
                 "crossover_h",
             ]),
-            Artifact::Parallel(_) => own(&["stage", "threads", "wall_s"]),
             Artifact::Lint(_) => own(&[
                 "family",
                 "circuit",
@@ -419,7 +399,7 @@ impl Artifact {
     }
 
     /// The rows as formatted display cells — the exact strings the
-    /// legacy binaries printed and wrote to their CSV artifacts.
+    /// text table and the CSV sink both emit.
     pub fn table_rows(&self) -> Vec<Vec<String>> {
         match self {
             Artifact::Fig2(rows) => rows
@@ -556,16 +536,6 @@ impl Artifact {
                     ]
                 })
                 .collect(),
-            Artifact::Parallel(rows) => rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.stage.clone(),
-                        r.threads.to_string(),
-                        format!("{:.3}", r.wall_s),
-                    ]
-                })
-                .collect(),
             Artifact::Lint(rows) => rows
                 .iter()
                 .map(|r| {
@@ -601,8 +571,7 @@ impl Artifact {
         }
     }
 
-    /// Renders the artifact as the aligned plain-text table the legacy
-    /// binaries printed.
+    /// Renders the artifact as an aligned plain-text table.
     pub fn to_table(&self) -> String {
         let header = self.header();
         let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
@@ -629,7 +598,6 @@ impl Artifact {
             Artifact::Search(r) => serde::json::to_string(r),
             Artifact::Yield(r) => serde::json::to_string(r),
             Artifact::Deployment(r) => serde::json::to_string(r),
-            Artifact::Parallel(r) => serde::json::to_string(r),
             Artifact::Lint(r) => serde::json::to_string(r),
             Artifact::LintFinding(r) => serde::json::to_string(r),
         }
@@ -772,8 +740,8 @@ impl Report {
         out
     }
 
-    /// The full text rendering: banner, tables, notes — what the
-    /// legacy binaries printed.
+    /// The full text rendering: banner, tables, notes — what
+    /// `carma run` prints by default.
     pub fn render_text(&self) -> String {
         format!(
             "{}{}{}",

@@ -5,9 +5,8 @@
 //! `table1`, `ablation_family`, …) to runner functions, and a typed
 //! [`Report`]/[`Artifact`] result with text, JSON and CSV sinks.
 //!
-//! This is the programmatic surface behind both the `carma` CLI and
-//! the legacy per-figure binaries in `carma-bench` (which are now
-//! thin shims over [`ExperimentRegistry::run`]).
+//! This is the programmatic surface behind the `carma` CLI
+//! (`carma run`) and the `carma-serve` HTTP service (`POST /run`).
 //!
 //! ```no_run
 //! use carma_core::scenario::{ExperimentRegistry, ScenarioSpec};
@@ -24,8 +23,8 @@ mod registry;
 mod spec;
 
 pub use artifact::{
-    Artifact, DeploymentRow, FamilyRow, GridRow, LintFindingRow, LintRow, MetricRow, ParallelRow,
-    Provenance, Report, SearchRow, SpanTotal, YieldRow,
+    Artifact, DeploymentRow, FamilyRow, GridRow, LintFindingRow, LintRow, MetricRow, Provenance,
+    Report, SearchRow, SpanTotal, YieldRow,
 };
 pub use registry::{fixture_lint_report, ExperimentInfo, ExperimentRegistry, RunEnv, Runner};
 pub use spec::{

@@ -1,9 +1,7 @@
 //! The experiment registry: stable names → runner functions. Each
-//! runner reproduces one legacy `carma-bench` binary byte-for-byte at
-//! the same seed/scale/threads, but is driven by a [`ScenarioSpec`]
-//! instead of hand-rolled `main` plumbing.
-
-use std::time::Instant;
+//! runner turns a resolved [`ScenarioSpec`] into a [`Report`]: the
+//! same bytes at a given seed and scale whatever the thread count, so
+//! a report is a pure function of its resolved spec.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -13,8 +11,8 @@ use carma_carbon::{CarbonModel, GridMix, YieldModel};
 use carma_multiplier::{MultiplierCircuit, MultiplierLibrary, ReductionKind};
 
 use super::artifact::{
-    Artifact, DeploymentRow, FamilyRow, GridRow, LintFindingRow, LintRow, MetricRow, ParallelRow,
-    Report, SearchRow, YieldRow,
+    Artifact, DeploymentRow, FamilyRow, GridRow, LintFindingRow, LintRow, MetricRow, Report,
+    SearchRow, YieldRow,
 };
 use super::spec::{Family, LibrarySource, ResolvedScenario, ScenarioSpec};
 use super::{Scale, ScenarioError};
@@ -162,14 +160,12 @@ pub struct ExperimentInfo {
     /// experiment are rejected at resolve time rather than silently
     /// running under a different fitness.
     pub objective_aware: bool,
-    /// Legacy CSV artifact file the shim binary writes (`fig2.csv`…).
-    pub csv_artifact: Option<&'static str>,
     /// The runner.
     pub runner: Runner,
 }
 
-/// Registry of every experiment reachable from the `carma` CLI and the
-/// legacy binaries.
+/// Registry of every experiment reachable from `carma run` and
+/// `carma serve`.
 pub struct ExperimentRegistry {
     entries: Vec<ExperimentInfo>,
 }
@@ -181,8 +177,9 @@ impl Default for ExperimentRegistry {
 }
 
 impl ExperimentRegistry {
-    /// The standard registry: the nine paper experiments plus the
-    /// `deployment` total-carbon sweep.
+    /// The standard registry: the paper's figures, table and five
+    /// ablations, the `deployment` total-carbon sweep, and the `lint`
+    /// static analysis.
     pub fn standard() -> Self {
         let entries = vec![
             ExperimentInfo {
@@ -193,7 +190,6 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: false,
-                csv_artifact: Some("fig2.csv"),
                 runner: Runner::Single(run_fig2),
             },
             ExperimentInfo {
@@ -204,7 +200,6 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: false,
-                csv_artifact: None,
                 runner: Runner::PerNode(run_table1),
             },
             ExperimentInfo {
@@ -215,7 +210,6 @@ impl ExperimentRegistry {
                 multi_model: true,
                 zoo_default: true,
                 objective_aware: false,
-                csv_artifact: Some("fig3.csv"),
                 runner: Runner::PerNode(run_fig3),
             },
             ExperimentInfo {
@@ -226,7 +220,6 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: false,
-                csv_artifact: None,
                 runner: Runner::Custom(run_ablation_family),
             },
             ExperimentInfo {
@@ -237,7 +230,6 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: false,
-                csv_artifact: None,
                 runner: Runner::Custom(run_ablation_grid),
             },
             ExperimentInfo {
@@ -248,7 +240,6 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: false,
-                csv_artifact: None,
                 runner: Runner::Single(run_ablation_metric),
             },
             ExperimentInfo {
@@ -259,7 +250,6 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: false,
-                csv_artifact: None,
                 runner: Runner::Single(run_ablation_search),
             },
             ExperimentInfo {
@@ -270,7 +260,6 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: false,
-                csv_artifact: None,
                 runner: Runner::Custom(run_ablation_yield),
             },
             ExperimentInfo {
@@ -282,19 +271,7 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: true,
-                csv_artifact: None,
                 runner: Runner::Single(run_deployment),
-            },
-            ExperimentInfo {
-                name: "bench_parallel",
-                title: "Parallel-engine benchmark — library + GA-generation wall-clock",
-                index: "Engine benchmark: wall-clock at 1/2/N threads (BENCH_parallel.json)",
-                multi_node: false,
-                multi_model: false,
-                zoo_default: false,
-                objective_aware: false,
-                csv_artifact: None,
-                runner: Runner::Custom(run_bench_parallel),
             },
             ExperimentInfo {
                 name: "lint",
@@ -304,7 +281,6 @@ impl ExperimentRegistry {
                 multi_model: false,
                 zoo_default: false,
                 objective_aware: false,
-                csv_artifact: None,
                 runner: Runner::Custom(run_lint),
             },
         ];
@@ -513,7 +489,7 @@ fn run_ablation_grid(r: &ResolvedScenario, env: &RunEnv) -> Report {
     // One context serves every arm: the library characterization,
     // accuracy reference run and perf cache are grid-independent, and
     // swapping the carbon model is deterministic — rows are identical
-    // to the per-arm contexts the legacy binary built. (Each arm still
+    // to what one fresh context per arm would give. (Each arm still
     // addresses its own memo cells: the cell-key prefix follows the
     // carbon model.)
     let mut ctx = env.context_for(r, r.node);
@@ -734,127 +710,6 @@ fn run_deployment(r: &ResolvedScenario, ctx: &CarmaContext) -> Report {
     report(r, vec![Artifact::Deployment(rows)], notes)
 }
 
-fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
-    let start = Instant::now();
-    let result = f();
-    (start.elapsed().as_secs_f64(), result)
-}
-
-fn json_series(rows: &[(usize, f64)]) -> String {
-    let cells: Vec<String> = rows
-        .iter()
-        .map(|&(threads, wall_s)| format!("{{\"threads\": {threads}, \"wall_s\": {wall_s:.6}}}"))
-        .collect();
-    format!("[{}]", cells.join(", "))
-}
-
-/// Speedup of the widest run over the single-thread run.
-fn speedup(rows: &[(usize, f64)]) -> f64 {
-    let serial = rows.first().expect("non-empty").1;
-    let widest = rows.last().expect("non-empty").1;
-    if widest > 0.0 {
-        serial / widest
-    } else {
-        f64::INFINITY
-    }
-}
-
-fn run_bench_parallel(r: &ResolvedScenario, _env: &RunEnv) -> Report {
-    // The environment is deliberately unused: this runner times raw
-    // construction and evaluation, and reading them through the memo
-    // would measure the cache, not the engine.
-    let host = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let mut widths = vec![1usize, 2, host];
-    widths.sort_unstable();
-    widths.dedup();
-
-    let depth = r.depth();
-    let mut rows = Vec::new();
-
-    // Stage 1: multiplier-library characterization (the dominant cost
-    // of context construction).
-    let mut library_rows: Vec<(usize, f64)> = Vec::new();
-    let mut reference_len = None;
-    for &threads in &widths {
-        let (wall_s, lib) = carma_exec::with_threads(threads, || {
-            timed(|| MultiplierLibrary::truncation_ladder(8, depth))
-        });
-        let len = lib.len();
-        assert_eq!(*reference_len.get_or_insert(len), len, "library forked");
-        library_rows.push((threads, wall_s));
-        rows.push(ParallelRow {
-            stage: "library_characterization".to_string(),
-            threads,
-            wall_s,
-        });
-    }
-
-    // Stage 2: one GA generation — a population-sized batch of design
-    // evaluations. Each width gets its own freshly drawn point set so
-    // every measurement pays the cold mapping-search cost (the GA's
-    // steady state: offspring are new points); reusing one set would
-    // let later widths ride the cache the first width filled and fake
-    // the speedup.
-    let ctx = r.context_for(r.node);
-    let model = r.single_model();
-    let population = r.ga.population.max(24);
-    let point_set = |master: u64| -> Vec<DesignPoint> {
-        let mut rng = StdRng::seed_from_u64(master);
-        (0..population)
-            .map(|_| DesignPoint::random(&mut rng, ctx.library().len()))
-            .collect()
-    };
-    let mut ga_rows: Vec<(usize, f64)> = Vec::new();
-    for (w, &threads) in widths.iter().enumerate() {
-        let points = point_set(carma_exec::derive_seed(0xBE7C, w as u64));
-        let (wall_s, _batch) =
-            carma_exec::with_threads(threads, || timed(|| ctx.evaluate_batch(&points, model)));
-        ga_rows.push((threads, wall_s));
-        rows.push(ParallelRow {
-            stage: "ga_generation".to_string(),
-            threads,
-            wall_s,
-        });
-    }
-    // Determinism spot check across widths (near-free: the cache is
-    // warm for these points now).
-    let probe = point_set(carma_exec::derive_seed(0xBE7C, 0));
-    let narrow = carma_exec::with_threads(1, || ctx.evaluate_batch(&probe, model));
-    let wide = carma_exec::with_threads(host, || ctx.evaluate_batch(&probe, model));
-    assert_eq!(narrow, wide, "batch evaluation forked across widths");
-
-    let note = if host == 1 {
-        "host exposes a single core: wider widths just timeslice it, so speedups \
-         are ~1.0 by construction, not an engine regression"
-    } else {
-        "speedups compare the widest width against 1 thread on this host"
-    };
-    let json = format!(
-        "{{\n  \"host_threads\": {host},\n  \"scale\": \"{:?}\",\n  \
-         \"library_characterization\": {},\n  \"ga_generation\": {},\n  \
-         \"speedup_library\": {:.3},\n  \"speedup_ga\": {:.3},\n  \"note\": \"{note}\"\n}}\n",
-        r.scale,
-        json_series(&library_rows),
-        json_series(&ga_rows),
-        speedup(&library_rows),
-        speedup(&ga_rows),
-    );
-    let mut notes = Vec::new();
-    match std::fs::write("BENCH_parallel.json", &json) {
-        Ok(()) => notes.push("(written to BENCH_parallel.json)".to_string()),
-        Err(e) => notes.push(format!("(could not write BENCH_parallel.json: {e})")),
-    }
-    notes.push(json.trim_end().to_string());
-    notes.push(
-        "note: each GA-generation measurement evaluates a fresh cold point set \
-         (the GA's steady state); speedups above are widest-vs-1-thread on this host"
-            .to_string(),
-    );
-    report(r, vec![Artifact::Parallel(rows)], notes)
-}
-
 /// Flattens one circuit's lint findings into report rows.
 fn lint_finding_rows(family: &str, circuit: &str, lr: &LintReport) -> Vec<LintFindingRow> {
     lr.diagnostics
@@ -994,7 +849,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_knows_all_eleven_experiments() {
+    fn registry_knows_all_ten_experiments() {
         let registry = ExperimentRegistry::standard();
         let names: Vec<&str> = registry.names().collect();
         assert_eq!(
@@ -1009,7 +864,6 @@ mod tests {
                 "ablation_search",
                 "ablation_yield",
                 "deployment",
-                "bench_parallel",
                 "lint",
             ]
         );

@@ -52,7 +52,8 @@ const DEPLOYMENT_MAGNITUDE_CAP: f64 = 1e9;
 #[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct ScenarioSpec {
     /// Registry name of the experiment (`fig2`, `fig3`, `table1`,
-    /// `ablation_family|grid|metric|search|yield`, `bench_parallel`).
+    /// `ablation_family|grid|metric|search|yield`, `deployment`,
+    /// `lint`).
     pub experiment: String,
     /// DNN model (`vgg16`, `resnet50`, …; `zoo` for the paper's four
     /// models where supported). Empty = experiment default.
@@ -957,8 +958,8 @@ impl ResolvedScenario {
                 MultiplierLibrary::evolve(LibraryConfig {
                     // An explicit spec depth bounds the evolved
                     // search's truncation too; unset keeps the
-                    // search's own default depth (the legacy
-                    // ablation arm at both scales).
+                    // search's own default depth (the
+                    // `ablation_family` arm at both scales).
                     max_truncation: self.library_depth.unwrap_or(base.max_truncation),
                     nsga: carma_ga::Nsga2Config::default()
                         .with_population(pop)
@@ -971,8 +972,7 @@ impl ResolvedScenario {
     }
 
     /// Builds the evaluation context for `node`. With no family /
-    /// depth / sample overrides this is exactly [`Scale::context`], so
-    /// default specs reproduce the legacy binaries bit-for-bit.
+    /// depth / sample overrides this is exactly [`Scale::context`].
     pub fn context_for(&self, node: TechNode) -> CarmaContext {
         CarmaContext::with_parts(node, self.library(), self.evaluator())
     }

@@ -44,11 +44,9 @@
 //! assert!(best.evaluation.objective < 0.5);
 //! ```
 
-pub mod baseline;
 pub mod ga;
 pub mod nsga2;
 
-pub use baseline::{front_hypervolume, hypervolume_2d, random_search};
 pub use ga::{par_evaluate, Evaluation, GaConfig, GaStats, GeneticAlgorithm, Individual, Problem};
 pub use nsga2::{
     crowding_distance, fast_non_dominated_sort, par_evaluate_multi, MultiObjectiveProblem, Nsga2,

@@ -36,7 +36,6 @@
 //! ```
 
 pub mod approx;
-pub mod behavioral;
 pub mod error;
 pub mod exact;
 pub mod families;
@@ -44,7 +43,6 @@ pub mod library;
 pub mod lut;
 
 pub use approx::{ApproxGenome, Prune, PruneAction};
-pub use behavioral::{DrumMultiplier, MitchellMultiplier};
 pub use error::ErrorProfile;
 pub use exact::{MultiplierCircuit, ReductionKind};
 pub use library::{

@@ -28,42 +28,30 @@
 //! [`JobQueue`]: crate::jobs::JobQueue
 //! [`try_parse_request`]: crate::http::try_parse_request
 
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
-
-#[cfg(unix)]
-use std::io::Read;
-#[cfg(unix)]
 use std::sync::atomic::Ordering;
-#[cfg(unix)]
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::server::ServeState;
-
-#[cfg(unix)]
 use crate::http::{try_parse_request, Response, TryParse, KEEPALIVE_IDLE_TIMEOUT, READ_TIMEOUT};
-#[cfg(unix)]
 use crate::server::{
     batch_item_outcome, batch_response, job_outcome_response, request_error_response, route,
-    BatchItem, Routed,
+    BatchItem, Routed, ServeState,
 };
 
 /// How long a shutdown waits for staged response bytes to drain
 /// before dropping the remaining connections.
-#[cfg(unix)]
 const SHUTDOWN_FLUSH_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// Upper bound on one poll wait, so idle-timeout and shutdown checks
 /// run at least this often even with no socket activity.
-#[cfg(unix)]
 const POLL_TICK: Duration = Duration::from_millis(500);
 
 // ---------------------------------------------------------------------------
 // poll(2)
 // ---------------------------------------------------------------------------
 
-#[cfg(unix)]
 mod sys {
     use std::io;
 
@@ -141,7 +129,6 @@ pub(crate) fn wake_pair() -> io::Result<(Waker, TcpStream)> {
 // ---------------------------------------------------------------------------
 
 /// What a suspended connection is waiting on.
-#[cfg(unix)]
 enum Waiting {
     Job {
         id: u64,
@@ -158,7 +145,6 @@ enum Waiting {
     },
 }
 
-#[cfg(unix)]
 struct Conn {
     stream: TcpStream,
     /// Unparsed request bytes.
@@ -178,7 +164,6 @@ struct Conn {
     last_activity: Instant,
 }
 
-#[cfg(unix)]
 impl Conn {
     fn new(stream: TcpStream, now: Instant) -> Conn {
         Conn {
@@ -231,11 +216,8 @@ impl Conn {
             match try_parse_request(&self.inbuf, &mut self.scanned) {
                 TryParse::Incomplete => break,
                 TryParse::Error(e) => {
-                    if let Some(response) = request_error_response(&e) {
-                        let started = Instant::now();
-                        self.finish(state, &response.closing(), started, None);
-                    }
-                    self.close_after_flush = true;
+                    let response = request_error_response(&e).closing();
+                    self.finish(state, &response, Instant::now(), None);
                     break;
                 }
                 TryParse::Request { request, consumed } => {
@@ -431,7 +413,6 @@ impl Conn {
 /// Runs the event loop until shutdown. Takes the listener by value so
 /// shutdown can drop it (closing the accept socket) while staged
 /// responses flush.
-#[cfg(unix)]
 pub(crate) fn event_loop(listener: TcpListener, wake_rx: TcpStream, state: &Arc<ServeState>) {
     use std::os::unix::io::AsRawFd;
     use sys::{PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
@@ -581,17 +562,9 @@ pub(crate) fn event_loop(listener: TcpListener, wake_rx: TcpStream, state: &Arc<
         .fetch_add(conns.len() as u64, Ordering::Relaxed);
 }
 
-/// Non-unix placeholder: [`crate::server::ServerConfig`] forces the
-/// threaded path on these targets, so this is never reached.
-#[cfg(not(unix))]
-pub(crate) fn event_loop(_listener: TcpListener, _wake_rx: TcpStream, _state: &Arc<ServeState>) {
-    unreachable!("the event loop requires poll(2); non-unix targets use the threaded path");
-}
-
 /// Answers 503 + `Retry-After` on a connection over the max-conns
 /// limit, then drops it. Best-effort single write: the socket buffer
 /// of a fresh connection always has room for ~120 bytes.
-#[cfg(unix)]
 fn shed(state: &ServeState, mut stream: TcpStream) {
     state
         .metrics
@@ -603,7 +576,7 @@ fn shed(state: &ServeState, mut stream: TcpStream) {
     let _ = stream.write_all(&response.encode());
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -164,7 +164,9 @@ impl JobQueue {
     }
 
     /// Submits a job, deduplicating against in-flight work by
-    /// `fingerprint`.
+    /// `fingerprint` (the unit tests' entry point; the server always
+    /// goes through [`JobQueue::submit_or_lookup`]).
+    #[cfg(test)]
     pub fn submit(&self, fingerprint: &str, experiment: &str, spec: &ScenarioSpec) -> Submit {
         match self.submit_or_lookup(fingerprint, experiment, spec, || None) {
             SubmitOutcome::Submitted(submit) => submit,
@@ -172,7 +174,8 @@ impl JobQueue {
         }
     }
 
-    /// [`JobQueue::submit`] with a cache lookup folded under the queue
+    /// Submits a job, deduplicating against in-flight work by
+    /// `fingerprint`, with a cache lookup folded under the queue
     /// lock. This closes the lost-result race a separate
     /// check-then-submit would leave open: a worker inserts the cache
     /// entry *before* it retires the fingerprint from the in-flight
@@ -227,6 +230,9 @@ impl JobQueue {
 
     /// Blocks until job `id` reaches `Done` or `Failed` (or the queue
     /// shuts down — a shutdown mid-wait reports the job as failed).
+    /// The server never blocks on a job (the event loop polls
+    /// [`JobQueue::status`] on wake), so only the unit tests wait.
+    #[cfg(test)]
     pub fn wait(&self, id: u64) -> Option<JobSnapshot> {
         let mut state = self.state.lock().expect("queue lock");
         loop {
@@ -267,11 +273,10 @@ impl JobQueue {
         }
     }
 
-    /// Wakes every worker and waiter and stops the pool. Abandoned
-    /// jobs (queued or running) transition to `Failed` *in the job
-    /// table* — not just in the snapshots handed to waiters — so
-    /// [`JobQueue::status`] (and thus `GET /jobs/:id`) agrees with
-    /// what [`JobQueue::wait`] reports across a shutdown.
+    /// Wakes every worker and the external notifier, and stops the
+    /// pool. Abandoned jobs (queued or running) transition to `Failed`
+    /// in the job table, so [`JobQueue::status`] (and thus
+    /// `GET /jobs/:id`) reports them as failed across a shutdown.
     pub fn shutdown(&self) {
         {
             let mut state = self.state.lock().expect("queue lock");

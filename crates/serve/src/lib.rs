@@ -10,16 +10,14 @@
 //! hits — across server restarts too, with the optional disk store.
 //!
 //! The connection engine is **event-driven** (the `event` module): one
-//! thread,
-//! `poll(2)` readiness, a state machine per connection, HTTP/1.1
-//! keep-alive and pipelining. Scenario computation never blocks the
-//! loop — misses suspend their connection on the [`jobs`] worker
-//! queue and the response is re-armed when the job retires. A
-//! thread-per-connection compat path remains for non-`poll` platforms
-//! (and [`ServerConfig::threaded`]). Everything is hand-rolled on
-//! `std::net` (the build is offline; no HTTP dependency exists in the
-//! workspace) and the JSON layer is the vendored `serde` shim the
-//! scenario API already uses.
+//! thread, `poll(2)` readiness, a state machine per connection,
+//! HTTP/1.1 keep-alive and pipelining. Scenario computation never
+//! blocks the loop — misses suspend their connection on the [`jobs`]
+//! worker queue and the response is re-armed when the job retires.
+//! The loop needs `poll(2)`, so the crate builds on unix targets only.
+//! Everything is hand-rolled on `std::net` (the build is offline; no
+//! HTTP dependency exists in the workspace) and the JSON layer is the
+//! vendored `serde` shim the scenario API already uses.
 //!
 //! ## Endpoints
 //!
@@ -63,8 +61,10 @@
 //! ```
 //!
 //! [`ScenarioSpec`]: carma_core::scenario::ScenarioSpec
-//! [`ServerConfig::threaded`]: server::ServerConfig::threaded
 //! [`ServerConfig::max_conns`]: server::ServerConfig::max_conns
+
+#[cfg(not(unix))]
+compile_error!("carma-serve's event loop is built on poll(2) and needs a unix target");
 
 pub mod cache;
 mod event;

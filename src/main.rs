@@ -1,6 +1,6 @@
 //! The unified `carma` CLI: list and run every paper experiment
-//! through the declarative scenario API, replacing per-figure binary
-//! sprawl with one entry point.
+//! through the declarative scenario API, the one entry point for every
+//! figure, table and ablation.
 //!
 //! ```text
 //! carma list

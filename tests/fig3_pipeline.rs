@@ -3,11 +3,11 @@
 //! The paper's Fig. 3 compares three designs — exact baseline at
 //! 30 FPS, approximate-only, GA-CDP — across four DNNs and three
 //! nodes, normalized to the exact baseline, and reports 30–70 %
-//! savings for the proposed flow. The full grid runs in the `fig3`
-//! bench binary; here two models × two nodes assert the shape.
+//! savings for the proposed flow. The full grid runs as
+//! `carma run fig3`; here two models × two nodes assert the shape.
 
-use carma_core::experiments::fig3_row;
-use carma_core::CarmaContext;
+use carma_core::experiments::{fig3_row_with, ACCURACY_CLASSES, FPS_THRESHOLDS};
+use carma_core::{CarmaContext, Constraints};
 use carma_dnn::DnnModel;
 use carma_ga::GaConfig;
 use carma_netlist::TechNode;
@@ -23,6 +23,12 @@ fn ctx(node: TechNode) -> &'static CarmaContext {
     }
 }
 
+/// The paper's Figure 3 constraints: the first FPS threshold and the
+/// loosest accuracy class.
+fn paper_constraints() -> Constraints {
+    Constraints::new(FPS_THRESHOLDS[0], ACCURACY_CLASSES[2]).expect("paper thresholds are valid")
+}
+
 fn fast_ga() -> GaConfig {
     GaConfig::default()
         .with_population(24)
@@ -34,7 +40,7 @@ fn fast_ga() -> GaConfig {
 fn fig3_bars_are_ordered_exact_approx_gacdp() {
     for node in [TechNode::N7, TechNode::N28] {
         for model in [DnnModel::vgg16(), DnnModel::resnet50()] {
-            let row = fig3_row(ctx(node), &model, fast_ga());
+            let row = fig3_row_with(ctx(node), &model, fast_ga(), paper_constraints());
             assert_eq!(row.exact, 1.0);
             // Approximation alone helps but is bounded (iso-arch).
             assert!(
@@ -68,7 +74,7 @@ fn fig3_ga_savings_reach_papers_band() {
     let mut best_saving: f64 = 0.0;
     for node in [TechNode::N7, TechNode::N28] {
         for model in [DnnModel::vgg16(), DnnModel::resnet50()] {
-            let row = fig3_row(ctx(node), &model, fast_ga());
+            let row = fig3_row_with(ctx(node), &model, fast_ga(), paper_constraints());
             let saving = 1.0 - row.ga_cdp;
             assert!(
                 (0.0..0.95).contains(&saving),

@@ -623,6 +623,40 @@ fn cli_list_names_every_experiment() {
 }
 
 #[test]
+fn cli_runs_every_experiment_to_a_json_report() {
+    // Every registry runner end to end through the binary: exit 0, a
+    // pure-JSON stdout naming the experiment, and at least one
+    // non-empty artifact table.
+    for name in registry().names() {
+        let out = carma_cli()
+            .args(["run", name, "--scale", "quick", "--out", "json"])
+            .output()
+            .expect("carma runs");
+        assert!(
+            out.status.success(),
+            "`carma run {name}` exited with {:?}\nstderr:\n{}",
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let v = serde::json::parse(stdout.trim())
+            .unwrap_or_else(|e| panic!("`{name}` stdout is not JSON: {e}"));
+        assert_eq!(v.get("experiment").and_then(|e| e.as_str()), Some(name));
+        let artifacts = v
+            .get("artifacts")
+            .and_then(|a| a.as_array())
+            .unwrap_or_else(|| panic!("`{name}` report has no artifacts"));
+        assert!(
+            artifacts.iter().any(|a| a
+                .get("rows")
+                .and_then(|rows| rows.as_array())
+                .is_some_and(|rows| !rows.is_empty())),
+            "`{name}` report has no rows: {stdout}"
+        );
+    }
+}
+
+#[test]
 fn cli_rejects_unknown_experiment_with_exit_2() {
     let out = carma_cli()
         .args(["run", "fig9"])
