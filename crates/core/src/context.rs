@@ -9,7 +9,7 @@ use std::sync::Arc;
 use carma_carbon::{CarbonMass, CarbonModel, Cdp, DeploymentProfile, FootprintBreakdown};
 use carma_dataflow::{Accelerator, AreaModel, PerfModel};
 use carma_dnn::{AccuracyEvaluator, DnnModel, EvaluatorConfig};
-use carma_memo::{f64_from_hex, f64_hex, u64_hex, MemoStore, Stage};
+use carma_memo::{f64_from_hex, f64_hex, MemoStore};
 use carma_multiplier::MultiplierLibrary;
 use carma_netlist::{Area, TechNode};
 use parking_lot::Mutex;
@@ -99,15 +99,17 @@ const PERF_CACHE_SHARDS: usize = 16;
 
 /// Sharded, concurrent perf memo: accelerator → per-model summaries.
 ///
-/// The key proper is the [`Accelerator`] alone — the multiplier choice
-/// never affects cycle counts, so no multiplier state belongs in the
-/// key, and hashing allocates nothing. The DNN *does* affect cycle
-/// counts (one context is reused across the paper's four models, e.g.
-/// by `fig3`), so summaries for one accelerator are distinguished by
-/// model name in a short inner vector — compared by `&str`, cloned
-/// only once per (accelerator, model) on the insert path, never per
-/// lookup.
-struct PerfCache {
+/// A summary is a pure function of the [`Accelerator`] (which carries
+/// the node) and the DNN, so one cache is shared by every context a
+/// [`MemoLayer`](crate::MemoLayer) builds, across nodes, libraries and
+/// scenarios; it is bounded by the design grid (700 accelerators per
+/// node) times the models evaluated. The multiplier choice never
+/// affects cycle counts, so no multiplier state belongs in the key,
+/// and hashing allocates nothing. The DNN *does* affect cycle counts,
+/// so summaries for one accelerator are distinguished by model name in
+/// a short inner vector — compared by `&str`, cloned only once per
+/// (accelerator, model) on the insert path, never per lookup.
+pub(crate) struct PerfCache {
     shards: [Mutex<PerfShard>; PERF_CACHE_SHARDS],
 }
 
@@ -115,7 +117,7 @@ struct PerfCache {
 type PerfShard = HashMap<Accelerator, Vec<(String, PerfSummary)>>;
 
 impl PerfCache {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PerfCache {
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
         }
@@ -145,44 +147,16 @@ impl PerfCache {
             per_model.push((model_name.to_string(), summary));
         }
     }
-
-    /// Every cached `(accelerator, model, summary)`, in a canonical
-    /// order (the shard layout and insertion order are
-    /// scheduling-dependent; the memoized payload must not be).
-    fn snapshot(&self) -> Vec<(Accelerator, String, PerfSummary)> {
-        let mut entries = Vec::new();
-        for shard in &self.shards {
-            for (accel, per_model) in shard.lock().iter() {
-                for (model, summary) in per_model {
-                    entries.push((*accel, model.clone(), *summary));
-                }
-            }
-        }
-        entries.sort_by(|(a, am, _), (b, bm, _)| perf_sort_key(a, am).cmp(&perf_sort_key(b, bm)));
-        entries
-    }
-}
-
-fn perf_sort_key<'m>(a: &Accelerator, model: &'m str) -> (u32, u32, u32, u32, String, &'m str) {
-    (
-        a.pe_width,
-        a.pe_height,
-        a.local_rf_bytes,
-        a.global_buffer_kib,
-        a.node.to_string(),
-        model,
-    )
 }
 
 /// The memoizable product of context construction: the accuracy-drop
-/// table (the expensive behavioural characterization) plus whatever
-/// performance summaries previous runs warmed. Model-independent —
-/// one seed serves every DNN evaluated on its node — and keyed by the
-/// **context** stage fingerprint (library key + node + evaluator
-/// calibration).
+/// table of one library under one evaluator calibration (the
+/// expensive behavioural characterization). Model- and
+/// node-independent — one seed serves every DNN on every node — and
+/// keyed by the **context** stage fingerprint (library key +
+/// evaluator calibration). Immutable once stored.
 pub(crate) struct ContextSeed {
     drops: Vec<f64>,
-    perf: Vec<(Accelerator, String, PerfSummary)>,
 }
 
 impl ContextSeed {
@@ -219,61 +193,25 @@ impl ContextSeed {
             "dnn.macs",
             accuracy.network().macs_per_inference() * evaluator.samples as u64 * (approximate + 1),
         );
-        ContextSeed {
-            drops,
-            perf: Vec::new(),
-        }
+        ContextSeed { drops }
     }
 
-    /// True when this seed can drive a context over `library` (a
-    /// decoded disk entry could be a corrupt-but-parseable payload of
-    /// the wrong shape; it must be recomputed, never served).
-    pub(crate) fn matches(&self, library: &MultiplierLibrary) -> bool {
-        self.drops.len() == library.len() && self.drops.iter().all(|d| (0.0..=1.0).contains(d))
-    }
-
-    /// Durable payload: drops and perf summaries as hex bits (see the
-    /// codec notes in `crate::memo`).
+    /// Durable payload: the drops as hex bits (see the codec notes in
+    /// `crate::memo`).
     pub(crate) fn encode(&self) -> String {
         let drops: Vec<String> = self
             .drops
             .iter()
             .map(|&d| format!("\"{}\"", f64_hex(d)))
             .collect();
-        let perf: Vec<String> = self
-            .perf
-            .iter()
-            .map(|(a, model, s)| {
-                format!(
-                    "{{\"pw\":{},\"ph\":{},\"rf\":{},\"gb\":{},\"node\":{},\"model\":{},\
-                     \"fps\":\"{}\",\"lat\":\"{}\",\"dram\":\"{}\",\"sram\":\"{}\",\"macs\":\"{}\"}}",
-                    a.pe_width,
-                    a.pe_height,
-                    a.local_rf_bytes,
-                    a.global_buffer_kib,
-                    serde::json::to_string(&a.node.to_string()),
-                    serde::json::to_string(model),
-                    f64_hex(s.fps),
-                    f64_hex(s.latency_s),
-                    u64_hex(s.dram_bytes),
-                    u64_hex(s.sram_bytes),
-                    u64_hex(s.macs),
-                )
-            })
-            .collect();
-        format!(
-            "{{\"v\":1,\"drops\":[{}],\"perf\":[{}]}}",
-            drops.join(","),
-            perf.join(",")
-        )
+        format!("{{\"v\":1,\"drops\":[{}]}}", drops.join(","))
     }
 
-    pub(crate) fn decode(text: &str) -> Option<Self> {
-        fn uint_field(v: &serde::json::Value, key: &str) -> Option<u32> {
-            let f = v.get(key)?.as_f64()?;
-            (f.is_finite() && (0.0..=u32::MAX as f64).contains(&f) && f.fract() == 0.0)
-                .then_some(f as u32)
-        }
+    /// Inverse of [`Self::encode`] for a seed of `library`. A payload
+    /// that parses but does not fit — wrong length, or a drop outside
+    /// `[0, 1]` — decodes to `None`, so it is recomputed and
+    /// overwritten, never served.
+    pub(crate) fn decode(text: &str, library: &MultiplierLibrary) -> Option<Self> {
         let v = serde::json::parse(text).ok()?;
         if v.get("v")?.as_f64()? != 1.0 {
             return None;
@@ -282,33 +220,15 @@ impl ContextSeed {
         for d in v.get("drops")?.as_array()? {
             drops.push(f64_from_hex(d.as_str()?)?);
         }
-        let mut perf = Vec::new();
-        for p in v.get("perf")?.as_array()? {
-            let accel = Accelerator {
-                pe_width: uint_field(p, "pw")?,
-                pe_height: uint_field(p, "ph")?,
-                local_rf_bytes: uint_field(p, "rf")?,
-                global_buffer_kib: uint_field(p, "gb")?,
-                node: p.get("node")?.as_str()?.parse().ok()?,
-            };
-            let summary = PerfSummary {
-                fps: f64_from_hex(p.get("fps")?.as_str()?)?,
-                latency_s: f64_from_hex(p.get("lat")?.as_str()?)?,
-                dram_bytes: carma_memo::u64_from_hex(p.get("dram")?.as_str()?)?,
-                sram_bytes: carma_memo::u64_from_hex(p.get("sram")?.as_str()?)?,
-                macs: carma_memo::u64_from_hex(p.get("macs")?.as_str()?)?,
-            };
-            perf.push((accel, p.get("model")?.as_str()?.to_string(), summary));
-        }
-        Some(ContextSeed { drops, perf })
+        let fits = drops.len() == library.len() && drops.iter().all(|d| (0.0..=1.0).contains(d));
+        fits.then_some(ContextSeed { drops })
     }
 }
 
 /// The memo handle a memo-built context carries: the store, the
-/// context-stage key (also the write-back address for the warmed perf
-/// cache on drop), and the precomputed **cell** key prefix binding
-/// `(context, carbon model)` — everything a cell lookup in `flow`
-/// needs besides its own tail.
+/// context-stage key, and the precomputed **cell** key prefix binding
+/// `(context, node, carbon model)` — everything a cell lookup in
+/// `flow` needs besides its own tail.
 pub(crate) struct ContextMemo {
     store: Arc<MemoStore>,
     context_key: String,
@@ -316,12 +236,14 @@ pub(crate) struct ContextMemo {
 }
 
 /// The shared prefix of every cell-stage canon evaluated on one
-/// context: the context key plus the current carbon model (the
-/// grid/yield ablations swap models between cells, so the model lives
-/// here, not in the context key).
-fn cell_basis(context_key: &str, carbon: &CarbonModel) -> String {
+/// context: the context key, the node, and the current carbon model.
+/// The context key is node-free (accuracy drops do not depend on the
+/// node) while cells do depend on it; the grid/yield ablations swap
+/// carbon models between cells, so the model lives here too.
+fn cell_basis(context_key: &str, node: TechNode, carbon: &CarbonModel) -> String {
     format!(
-        "\"ctx\":\"{context_key}\",\"carbon\":{}",
+        "\"ctx\":\"{context_key}\",\"node\":{},\"carbon\":{}",
+        serde::json::to_string(&node.to_string()),
         crate::memo::carbon_canon(carbon)
     )
 }
@@ -334,8 +256,8 @@ fn cell_basis(context_key: &str, carbon: &CarbonModel) -> String {
 /// characterization + behavioural accuracy runs); evaluation of design
 /// points is then cheap enough to sit inside the GA loop.
 /// `CarmaContext` is fully [`Sync`]: design points evaluate through
-/// `&self` with all shared mutability confined to the sharded
-/// [`PerfCache`], so one context can serve a whole pool of GA workers
+/// `&self` with all shared mutability confined to the sharded perf
+/// cache, so one context can serve a whole pool of GA workers
 /// concurrently (see [`evaluate_batch`](CarmaContext::evaluate_batch)).
 pub struct CarmaContext {
     node: TechNode,
@@ -343,7 +265,7 @@ pub struct CarmaContext {
     accuracy_drops: Vec<f64>,
     carbon: CarbonModel,
     perf: PerfModel,
-    perf_cache: PerfCache,
+    perf_cache: Arc<PerfCache>,
     memo: Option<ContextMemo>,
 }
 
@@ -401,34 +323,33 @@ impl CarmaContext {
         library: MultiplierLibrary,
         evaluator: EvaluatorConfig,
     ) -> Self {
-        let library = Arc::new(library);
         let seed = ContextSeed::characterize(&library, evaluator);
-        Self::assemble(node, library, &seed, None)
+        Self::assemble(
+            node,
+            Arc::new(library),
+            &seed,
+            Arc::new(PerfCache::new()),
+            None,
+        )
     }
 
     /// Assembles a context from an already-characterized seed — the
     /// cheap half of construction, shared by [`Self::with_parts`]
-    /// (fresh seed, no memo) and the memo layer (seed read through the
-    /// context stage; `memo` carries the store and context key so cell
-    /// lookups and the drop-time perf write-back know their address).
+    /// (fresh seed and perf cache, no memo) and the memo layer (seed
+    /// read through the context stage, the layer's shared perf cache;
+    /// `memo` carries the store and context key that address cell
+    /// lookups).
     pub(crate) fn assemble(
         node: TechNode,
         library: Arc<MultiplierLibrary>,
         seed: &ContextSeed,
+        perf_cache: Arc<PerfCache>,
         memo: Option<(Arc<MemoStore>, String)>,
     ) -> Self {
         assert_eq!(library.width(), 8, "context requires an 8-bit library");
-        assert!(
-            seed.matches(&library),
-            "context seed does not fit the library"
-        );
-        let perf_cache = PerfCache::new();
-        for (accel, model, summary) in &seed.perf {
-            perf_cache.insert(*accel, model, *summary);
-        }
         let carbon = CarbonModel::for_node(node);
         let memo = memo.map(|(store, context_key)| ContextMemo {
-            cell_basis: cell_basis(&context_key, &carbon),
+            cell_basis: cell_basis(&context_key, node, &carbon),
             store,
             context_key,
         });
@@ -444,7 +365,7 @@ impl CarmaContext {
     }
 
     /// The cell-stage lookup handle: the store plus this context's
-    /// current cell-key prefix (context key + carbon model). `None`
+    /// current cell-key prefix (context key + node + carbon model). `None`
     /// when the context was built outside the memo layer — callers
     /// fall through to direct computation.
     pub(crate) fn cell_memo(&self) -> Option<(&MemoStore, &str)> {
@@ -469,13 +390,13 @@ impl CarmaContext {
     }
 
     /// Replaces the carbon model (for yield/grid ablations). Cell
-    /// keys derive from `(context, carbon model)`, so the cell-key
-    /// prefix moves with the model — each ablation arm addresses its
-    /// own cells.
+    /// keys derive from `(context, node, carbon model)`, so the
+    /// cell-key prefix moves with the model — each ablation arm
+    /// addresses its own cells.
     pub fn set_carbon_model(&mut self, model: CarbonModel) {
         self.carbon = model;
         if let Some(m) = &mut self.memo {
-            m.cell_basis = cell_basis(&m.context_key, &self.carbon);
+            m.cell_basis = cell_basis(&m.context_key, self.node, &self.carbon);
         }
     }
 
@@ -581,27 +502,6 @@ impl CarmaContext {
     /// at any `CARMA_THREADS` setting.
     pub fn evaluate_batch(&self, points: &[DesignPoint], model: &DnnModel) -> Vec<DesignEval> {
         carma_exec::par_map(points, |point| self.evaluate(point, model))
-    }
-}
-
-impl Drop for CarmaContext {
-    /// Write-back of the warmed perf cache: a memo-built context
-    /// re-persists its seed on drop so the next run starts with every
-    /// performance summary this one computed. Purely an enrichment —
-    /// the drops are unchanged, and a lost write-back only costs
-    /// recomputation.
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            return;
-        }
-        if let Some(m) = self.memo.take() {
-            let seed = ContextSeed {
-                drops: std::mem::take(&mut self.accuracy_drops),
-                perf: self.perf_cache.snapshot(),
-            };
-            m.store
-                .put(Stage::Context, &m.context_key, seed, ContextSeed::encode);
-        }
     }
 }
 
@@ -730,6 +630,17 @@ mod tests {
         assert!(fb.operational.as_grams() > 0.0);
         // The cdp field routes through the Cdp newtype.
         assert_eq!(eval.cdp, eval.cdp_metric().value());
+    }
+
+    #[test]
+    fn cell_basis_separates_nodes_sharing_a_context_key() {
+        // One node-free context key serves every node; the node must
+        // still separate their cells, even under one carbon model.
+        let carbon = CarbonModel::for_node(TechNode::N7);
+        assert_ne!(
+            cell_basis("aa11", TechNode::N7, &carbon),
+            cell_basis("aa11", TechNode::N14, &carbon)
+        );
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! codecs binding the generic [`carma_memo::MemoStore`] to the CARMA
 //! compute graph.
 //!
-//! Three stages are memoized (see the crate-level docs of
+//! Four stages are memoized (see the crate-level docs of
 //! `carma-memo`): the characterized multiplier **library**, the
-//! per-node **context** seed (accuracy-drop table + perf-cache
-//! entries), and per-experiment **cells** (one sweep or GA result).
-//! Each stage's canonical JSON names exactly the inputs that determine
-//! its output — thread count excluded — following the
+//! node-free **context** seed (accuracy-drop table), per-experiment
+//! **cells** (one sweep or GA result), and whole **reports** (the
+//! rendered JSON `carma serve` answers with). Each stage's canonical
+//! JSON names exactly the inputs that determine its output — thread
+//! count excluded — following the
 //! [`ResolvedScenario::canonical_json`] discipline, and each durable
 //! payload encodes every `f64`/`u64` as IEEE-754/integer hex bits so a
 //! disk round trip is bit-identical to the in-memory value.
@@ -28,17 +29,19 @@ use carma_multiplier::{
 use carma_netlist::{Area, ImportFormat, TechNode};
 use serde::json::{to_string as js, Value};
 
-use crate::context::{CarmaContext, ContextSeed, DesignEval};
+use crate::context::{CarmaContext, ContextSeed, DesignEval, PerfCache};
 use crate::flow::SweepPoint;
 use crate::scenario::{Family, LibrarySource, ResolvedScenario};
 
 /// The shared memo handle a run reads through: CLI, serve workers and
 /// registry runners all hold clones of one layer, so overlapping
 /// scenarios share library/context/cell work within and (with a disk
-/// dir) across processes.
+/// dir) across processes. The layer also owns the perf cache that
+/// every context it builds evaluates through.
 #[derive(Clone)]
 pub struct MemoLayer {
     store: Arc<MemoStore>,
+    perf: Arc<PerfCache>,
 }
 
 impl std::fmt::Debug for MemoLayer {
@@ -52,16 +55,20 @@ impl std::fmt::Debug for MemoLayer {
 impl MemoLayer {
     /// A process-local layer (no disk tier).
     pub fn in_memory() -> Self {
-        MemoLayer {
-            store: Arc::new(MemoStore::in_memory()),
-        }
+        Self::over(MemoStore::in_memory())
     }
 
-    /// A layer mirrored to `dir` (`carma run --memo-dir`).
+    /// A layer mirrored to `dir` (`carma run --memo-dir`,
+    /// `carma serve --memo-dir`).
     pub fn with_disk(dir: PathBuf) -> io::Result<Self> {
-        Ok(MemoLayer {
-            store: Arc::new(MemoStore::with_disk(dir)?),
-        })
+        Ok(Self::over(MemoStore::with_disk(dir)?))
+    }
+
+    fn over(store: MemoStore) -> Self {
+        MemoLayer {
+            store: Arc::new(store),
+            perf: Arc::new(PerfCache::new()),
+        }
     }
 
     /// Hit/miss counters per stage.
@@ -104,10 +111,9 @@ impl MemoLayer {
     }
 
     /// The evaluation context of `(scenario, source, node)`, read
-    /// through the memo: the library stage feeds the context stage,
-    /// and the returned context carries a write-back handle that keys
-    /// its cell-stage lookups (and persists its warmed perf cache on
-    /// drop).
+    /// through the memo: the library stage feeds the node-free context
+    /// stage, and the returned context carries the store and context
+    /// key that address its cell-stage lookups.
     pub fn context_from(
         &self,
         r: &ResolvedScenario,
@@ -122,32 +128,20 @@ impl MemoLayer {
             decode_library,
             || r.library_from(source),
         );
-        let ctx_canon = context_canon(&carma_memo::fingerprint(&lib_canon), node, &r.evaluator());
+        let ctx_canon = context_canon(&carma_memo::fingerprint(&lib_canon), &r.evaluator());
         let context_key = carma_memo::fingerprint(&ctx_canon);
         let seed = self.store.get_or_compute_keyed(
             Stage::Context,
             &context_key,
             ContextSeed::encode,
-            ContextSeed::decode,
+            |text| ContextSeed::decode(text, &library),
             || ContextSeed::characterize(&library, r.evaluator()),
         );
-        // A disk entry can parse yet not fit this library (truncated
-        // or cross-written payload); recompute and overwrite rather
-        // than serve it.
-        let seed = if seed.matches(&library) {
-            seed
-        } else {
-            self.store.put(
-                Stage::Context,
-                &context_key,
-                ContextSeed::characterize(&library, r.evaluator()),
-                ContextSeed::encode,
-            )
-        };
         CarmaContext::assemble(
             node,
             library,
             &seed,
+            Arc::clone(&self.perf),
             Some((Arc::clone(&self.store), context_key)),
         )
     }
@@ -155,6 +149,33 @@ impl MemoLayer {
     /// [`Self::context_from`] at the scenario's resolved source.
     pub fn context(&self, r: &ResolvedScenario, node: TechNode) -> CarmaContext {
         self.context_from(r, &r.library_source(), node)
+    }
+
+    /// The stored report JSON of the scenario with `fingerprint`
+    /// (`carma serve`'s result cache): memory first, then the disk
+    /// tier. Counted in the report stage. A disk entry that is not a
+    /// JSON object whose `experiment` member is `experiment` is a miss,
+    /// never served.
+    pub fn report(&self, fingerprint: &str, experiment: &str) -> Option<Arc<String>> {
+        self.store.get(Stage::Report, fingerprint, |text| {
+            decode_report(text, experiment)
+        })
+    }
+
+    /// [`Self::report`] from memory only, uncounted: the recheck that
+    /// follows a counted miss in the same request.
+    pub fn peek_report(&self, fingerprint: &str) -> Option<Arc<String>> {
+        self.store.peek(Stage::Report, fingerprint)
+    }
+
+    /// Stores `json` as the report of `fingerprint`, in memory and
+    /// (with a disk tier) as `<dir>/report/<fingerprint>.json`.
+    pub fn put_report(&self, fingerprint: &str, mut json: String) -> Arc<String> {
+        // Reports stay in memory for the server's lifetime: drop the
+        // renderer's spare capacity (up to half the allocation).
+        json.shrink_to_fit();
+        self.store
+            .put(Stage::Report, fingerprint, json, ToString::to_string)
     }
 }
 
@@ -208,16 +229,16 @@ pub fn library_source_canon(r: &ResolvedScenario, source: &LibrarySource) -> Str
 }
 
 /// Canonical JSON of the **context** stage key: the library it wraps
-/// (by fingerprint), the node, and the full accuracy-evaluator
-/// calibration. Model-independent by construction — one context seed
-/// serves every DNN.
-pub fn context_canon(library_key: &str, node: TechNode, evaluator: &EvaluatorConfig) -> String {
+/// (by fingerprint) and the full accuracy-evaluator calibration —
+/// exactly what [`ContextSeed::characterize`] reads. Model- and
+/// node-independent by construction: one context seed serves every
+/// DNN on every node (the node shapes cells instead).
+pub fn context_canon(library_key: &str, evaluator: &EvaluatorConfig) -> String {
     format!(
-        "{{\"stage\":\"context\",\"v\":1,\"library\":{},\"node\":{},\
+        "{{\"stage\":\"context\",\"v\":1,\"library\":{},\
          \"evaluator\":{{\"samples\":{},\"classes\":{},\"input_hw\":{},\
          \"noise\":{},\"seed\":{}}}}}",
         js(library_key),
-        js(&node.to_string()),
         evaluator.samples,
         evaluator.classes,
         evaluator.input_hw,
@@ -594,8 +615,15 @@ pub(crate) fn decode_sweep(text: &str) -> Option<Vec<SweepPoint>> {
     Some(points)
 }
 
-// Context-seed codecs live in `crate::context` alongside the private
-// perf-summary type they serialize.
+/// Decodes a stored report: the file text itself, accepted only when
+/// it is a JSON object whose `experiment` member names `experiment`.
+fn decode_report(text: &str, experiment: &str) -> Option<String> {
+    let v = serde::json::parse(text).ok()?;
+    (v.get("experiment")?.as_str()? == experiment).then(|| text.to_string())
+}
+
+// Context-seed codecs live in `crate::context`, next to the seed's
+// private fields.
 
 #[cfg(test)]
 mod tests {
@@ -712,12 +740,11 @@ mod tests {
     #[test]
     fn context_canon_tracks_library_node_and_calibration() {
         let r = resolved("fig2");
-        let base = context_canon("aa11", TechNode::N7, &r.evaluator());
-        assert_ne!(base, context_canon("bb22", TechNode::N7, &r.evaluator()));
-        assert_ne!(base, context_canon("aa11", TechNode::N14, &r.evaluator()));
+        let base = context_canon("aa11", &r.evaluator());
+        assert_ne!(base, context_canon("bb22", &r.evaluator()));
         let mut more_samples = r.evaluator();
         more_samples.samples += 1;
-        assert_ne!(base, context_canon("aa11", TechNode::N7, &more_samples));
+        assert_ne!(base, context_canon("aa11", &more_samples));
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl RunEnv {
     /// The default environment: a fresh in-memory memo per
     /// construction. Even with no `--memo-dir`, one run's scenarios
     /// share stages (e.g. `table1`'s three node contexts share one
-    /// library characterization).
+    /// library and one accuracy characterization).
     pub fn standard() -> Self {
         RunEnv {
             memo: Some(MemoLayer::in_memory()),

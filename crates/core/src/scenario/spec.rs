@@ -1071,27 +1071,13 @@ impl ResolvedScenario {
         )
     }
 
-    /// Content address of this scenario's results: a 128-bit FNV-1a
-    /// hash of [`Self::canonical_json`], rendered as 32 lowercase hex
-    /// characters. Identical resolved scenarios — including the same
-    /// spec at different thread counts — always collide (that is the
-    /// point); distinct ones differ up to the hash's collision bound.
+    /// Content address of this scenario's results: the 128-bit
+    /// [`carma_memo::fingerprint`] of [`Self::canonical_json`], as 32
+    /// lowercase hex characters. Identical resolved scenarios —
+    /// including the same spec at different thread counts — always
+    /// collide (that is the point); distinct ones differ up to the
+    /// hash's collision bound.
     pub fn fingerprint(&self) -> String {
-        let canon = self.canonical_json();
-        // Two independent 64-bit FNV-1a passes (standard offset basis,
-        // then a splitmix64-constant basis) make the 128-bit address.
-        let a = fnv1a64(canon.as_bytes(), 0xCBF2_9CE4_8422_2325);
-        let b = fnv1a64(canon.as_bytes(), 0x9E37_79B9_7F4A_7C15);
-        format!("{a:016x}{b:016x}")
+        carma_memo::fingerprint(&self.canonical_json())
     }
-}
-
-/// 64-bit FNV-1a over `bytes` from an explicit basis.
-fn fnv1a64(bytes: &[u8], basis: u64) -> u64 {
-    let mut hash = basis;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }

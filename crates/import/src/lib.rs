@@ -136,8 +136,9 @@ impl std::error::Error for ImportFailure {}
 /// 128-bit FNV-1a content hash of `bytes` as 32 lower-case hex chars.
 ///
 /// Two independent 64-bit FNV-1a streams over the same bytes (offset
-/// bases differ), matching the fingerprint construction used by
-/// `ResolvedScenario`.
+/// bases differ): the construction of `carma_memo::fingerprint`, kept
+/// as a copy so this crate does not depend on the memo store. A test
+/// in `tests/scenario_api.rs` pins the two to the same output.
 pub fn content_hash(bytes: &[u8]) -> String {
     let h1 = fnv1a64(bytes, 0xCBF2_9CE4_8422_2325);
     let h2 = fnv1a64(bytes, 0x9E37_79B9_7F4A_7C15);

@@ -1,31 +1,29 @@
 //! Content-addressed, stage-level memoization for the CARMA flow.
 //!
-//! The serve-layer result cache only hits on *byte-identical* resolved
-//! scenarios; overlapping scenarios (`fig2` then `deployment` on the
-//! same node/model) share almost all of their real work but none of
-//! their cache entries. This crate provides the shared memo store that
-//! fixes that: results are keyed per *stage* of the compute graph —
+//! One store holds every cached result CARMA produces, keyed per
+//! *stage* of the compute graph so that scenarios which merely overlap
+//! (`fig2` then `deployment` on the same library) still share work:
 //!
 //! - **library** — `(family, width, depth/config)` → characterized
 //!   multiplier library,
-//! - **context** — `(library key, node, calibration)` → accuracy-drop
-//!   table + perf-cache seed,
-//! - **cell** — `(context key, carbon model, model, objective/GA spec,
-//!   seed)` → one sweep or GA result,
+//! - **context** — `(library key, calibration)` → accuracy-drop table
+//!   (node-independent: one characterization serves every node),
+//! - **cell** — `(context key, node, carbon model, model, objective/GA
+//!   spec, seed)` → one sweep or GA result,
+//! - **report** — the resolved scenario's fingerprint → the rendered
+//!   report JSON `carma serve` answers with,
 //!
 //! each addressed by a 128-bit fingerprint of a canonical-JSON
 //! description of exactly the inputs that determine the stage's output
-//! (thread count excluded), the same discipline as
-//! `ResolvedScenario::fingerprint()`.
+//! (thread count excluded).
 //!
 //! The store is two-tier: a sharded in-memory map of `Arc<dyn Any>`
 //! values (zero serialization on the hot path) plus an optional disk
 //! tier (`<dir>/<stage>/<fingerprint>.json`, tmp+rename writes,
-//! hex-only key guard — the same safety rules as
-//! `carma-serve`'s result cache). Values are encoded/decoded by
-//! caller-supplied codecs so this crate stays dependency-free; a
-//! corrupt or unreadable disk entry simply decodes to `None` and is
-//! recomputed (and overwritten), never served.
+//! hex-only key guard). Values are encoded/decoded by caller-supplied
+//! codecs so this crate stays dependency-free; a corrupt or unreadable
+//! disk entry simply decodes to `None` and is recomputed (and
+//! overwritten), never served.
 //!
 //! Everything memoized through this store must be a pure, deterministic
 //! function of its canonical key — then a hit is bit-identical to a
@@ -38,24 +36,27 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// The three stages of the memoized compute graph, in dependency
-/// order: a context key embeds its library key, a cell key embeds its
-/// context key.
+/// The stages of the memoized compute graph, in dependency order: a
+/// context key embeds its library key, a cell key embeds its context
+/// key, and a report is rendered from cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Characterized multiplier library (family × width × depth).
     Library,
-    /// Per-node evaluation context seed: accuracy-drop table plus
-    /// performance-cache entries.
+    /// Evaluation context seed: the accuracy-drop table of one library
+    /// under one calibration.
     Context,
     /// One experiment cell: a sweep or GA result for a concrete
-    /// (context, model, objective, GA spec, seed).
+    /// (context, node, carbon model, model, objective, GA spec, seed).
     Cell,
+    /// A whole scenario's rendered report, keyed by the resolved
+    /// scenario's fingerprint (`carma serve`'s result cache).
+    Report,
 }
 
 impl Stage {
     /// All stages, in display order.
-    pub const ALL: [Stage; 3] = [Stage::Library, Stage::Context, Stage::Cell];
+    pub const ALL: [Stage; 4] = [Stage::Library, Stage::Context, Stage::Cell, Stage::Report];
 
     /// Stable lowercase name — used as the on-disk subdirectory and in
     /// metrics labels.
@@ -64,6 +65,7 @@ impl Stage {
             Stage::Library => "library",
             Stage::Context => "context",
             Stage::Cell => "cell",
+            Stage::Report => "report",
         }
     }
 
@@ -72,6 +74,7 @@ impl Stage {
             Stage::Library => 0,
             Stage::Context => 1,
             Stage::Cell => 2,
+            Stage::Report => 3,
         }
     }
 
@@ -81,11 +84,12 @@ impl Stage {
             Stage::Library => "memo.library",
             Stage::Context => "memo.context",
             Stage::Cell => "memo.cell",
+            Stage::Report => "memo.report",
         }
     }
 }
 
-/// Hit/miss counters for one stage.
+/// Hit/miss counters and occupancy for one stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageCounts {
     /// Lookups served from the store (memory or disk).
@@ -95,6 +99,9 @@ pub struct StageCounts {
     /// The subset of `hits` that came from the disk tier (and were
     /// promoted to memory).
     pub disk_hits: u64,
+    /// Keys held by the in-memory tier (entries are never evicted, so
+    /// this counts every distinct key ever stored).
+    pub entries: u64,
 }
 
 /// A point-in-time snapshot of the store's counters, per stage.
@@ -106,6 +113,8 @@ pub struct MemoStats {
     pub context: StageCounts,
     /// Cell-stage counters.
     pub cell: StageCounts,
+    /// Report-stage counters.
+    pub report: StageCounts,
 }
 
 impl MemoStats {
@@ -115,6 +124,7 @@ impl MemoStats {
             Stage::Library => self.library,
             Stage::Context => self.context,
             Stage::Cell => self.cell,
+            Stage::Report => self.report,
         }
     }
 }
@@ -124,6 +134,7 @@ struct StageAtomics {
     hits: AtomicU64,
     misses: AtomicU64,
     disk_hits: AtomicU64,
+    entries: AtomicU64,
 }
 
 impl StageAtomics {
@@ -132,12 +143,13 @@ impl StageAtomics {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
+            entries: self.entries.load(Ordering::Relaxed),
         }
     }
 }
 
 /// Number of lock shards in the in-memory tier (same shape as the
-/// serve result cache and the context perf memo).
+/// context perf memo).
 const MEMO_SHARDS: usize = 16;
 
 type MemoShard = HashMap<String, Arc<dyn Any + Send + Sync>>;
@@ -153,13 +165,14 @@ fn fnv1a64(bytes: &[u8], basis: u64) -> u64 {
 }
 
 /// 128-bit content fingerprint of a canonical-JSON string: two
-/// independent FNV-1a passes rendered as 32 lowercase hex chars —
-/// the same derivation as `ResolvedScenario::fingerprint()`, so stage
-/// keys and whole-scenario keys live in one address-space discipline.
+/// independent 64-bit FNV-1a passes (standard offset basis, then a
+/// splitmix64-constant basis) rendered as 32 lowercase hex chars. The
+/// one fingerprint of the workspace: stage keys and
+/// `ResolvedScenario::fingerprint()` are both this function.
 pub fn fingerprint(canon: &str) -> String {
-    let lo = fnv1a64(canon.as_bytes(), 0xCBF2_9CE4_8422_2325);
-    let hi = fnv1a64(canon.as_bytes(), 0x9E37_79B9_7F4A_7C15);
-    format!("{hi:016x}{lo:016x}")
+    let a = fnv1a64(canon.as_bytes(), 0xCBF2_9CE4_8422_2325);
+    let b = fnv1a64(canon.as_bytes(), 0x9E37_79B9_7F4A_7C15);
+    format!("{a:016x}{b:016x}")
 }
 
 /// The two-tier content-addressed memo store.
@@ -170,12 +183,18 @@ pub fn fingerprint(canon: &str) -> String {
 pub struct MemoStore {
     shards: [Mutex<MemoShard>; MEMO_SHARDS],
     dir: Option<PathBuf>,
-    counters: [StageAtomics; 3],
+    counters: [StageAtomics; Stage::ALL.len()],
     in_flight: Mutex<HashMap<String, Arc<Mutex<()>>>>,
 }
 
 fn shard_index(key: &str) -> usize {
     (fnv1a64(key.as_bytes(), 0xCBF2_9CE4_8422_2325) % MEMO_SHARDS as u64) as usize
+}
+
+/// The in-memory key of `fp` in `stage`: stages share the shards but
+/// not an address space.
+fn memory_key(stage: Stage, fp: &str) -> String {
+    format!("{}/{}", stage.as_str(), fp)
 }
 
 impl MemoStore {
@@ -215,6 +234,7 @@ impl MemoStore {
             library: self.counters[Stage::Library.index()].snapshot(),
             context: self.counters[Stage::Context.index()].snapshot(),
             cell: self.counters[Stage::Cell.index()].snapshot(),
+            report: self.counters[Stage::Report.index()].snapshot(),
         }
     }
 
@@ -225,7 +245,7 @@ impl MemoStore {
     fn disk_path(&self, stage: Stage, fp: &str) -> Option<PathBuf> {
         // Fingerprints are produced internally, but refuse anything
         // that is not plain lowercase hex before touching the
-        // filesystem with it (same guard as the serve result cache).
+        // filesystem with it.
         let dir = self.dir.as_ref()?;
         let is_hex = !fp.is_empty()
             && fp
@@ -255,11 +275,34 @@ impl MemoStore {
             .and_then(|any| Arc::clone(any).downcast::<T>().ok())
     }
 
-    fn memory_put<T: Send + Sync + 'static>(&self, key: String, value: Arc<T>) {
-        self.shard(&key)
+    fn memory_put<T: Send + Sync + 'static>(&self, stage: Stage, key: String, value: Arc<T>) {
+        let replaced = self
+            .shard(&key)
             .lock()
             .expect("memo lock")
             .insert(key, value as Arc<dyn Any + Send + Sync>);
+        if replaced.is_none() {
+            self.counters[stage.index()]
+                .entries
+                .fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Reads `fp` from the disk tier through `decode`, promoting a
+    /// decoded value to memory. `None` when there is no disk tier, no
+    /// entry, or the entry does not decode.
+    fn disk_get<T, D>(&self, stage: Stage, fp: &str, key: &str, decode: D) -> Option<Arc<T>>
+    where
+        T: Send + Sync + 'static,
+        D: FnOnce(&str) -> Option<T>,
+    {
+        let text = std::fs::read_to_string(self.disk_path(stage, fp)?).ok()?;
+        let value = Arc::new(decode(&text)?);
+        self.memory_put(stage, key.to_string(), Arc::clone(&value));
+        let counters = &self.counters[stage.index()];
+        counters.hits.fetch_add(1, Ordering::Relaxed);
+        counters.disk_hits.fetch_add(1, Ordering::Relaxed);
+        Some(value)
     }
 
     /// Looks up `canon`'s fingerprint in `stage`, recomputing on miss.
@@ -290,8 +333,8 @@ impl MemoStore {
     }
 
     /// [`get_or_compute`](Self::get_or_compute) with a pre-derived
-    /// fingerprint (for callers that cache the key alongside the
-    /// value, e.g. the context's write-back handle).
+    /// fingerprint (for callers that reuse the key, e.g. the context
+    /// stage, whose key prefixes every cell key of its contexts).
     pub fn get_or_compute_keyed<T, E, D, C>(
         &self,
         stage: Stage,
@@ -308,7 +351,7 @@ impl MemoStore {
     {
         let counters = &self.counters[stage.index()];
         let span = carma_trace::span!(stage.span_name());
-        let key = format!("{}/{}", stage.as_str(), fp);
+        let key = memory_key(stage, fp);
         if let Some(v) = self.memory_get::<T>(&key) {
             counters.hits.fetch_add(1, Ordering::Relaxed);
             span.annotate("hit");
@@ -333,23 +376,15 @@ impl MemoStore {
                 span.annotate("hit");
                 break 'filled v;
             }
-            if let Some(path) = self.disk_path(stage, fp) {
-                if let Ok(text) = std::fs::read_to_string(&path) {
-                    if let Some(value) = decode(&text) {
-                        let value = Arc::new(value);
-                        self.memory_put(key.clone(), Arc::clone(&value));
-                        counters.hits.fetch_add(1, Ordering::Relaxed);
-                        counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        span.annotate("disk_hit");
-                        break 'filled value;
-                    }
-                }
+            if let Some(v) = self.disk_get(stage, fp, &key, decode) {
+                span.annotate("disk_hit");
+                break 'filled v;
             }
             let value = Arc::new(compute());
             if self.dir.is_some() {
                 self.write_disk(stage, fp, &encode(&value));
             }
-            self.memory_put(key.clone(), Arc::clone(&value));
+            self.memory_put(stage, key.clone(), Arc::clone(&value));
             counters.misses.fetch_add(1, Ordering::Relaxed);
             span.annotate("miss");
             value
@@ -362,9 +397,41 @@ impl MemoStore {
         value
     }
 
-    /// Unconditionally (over)writes `fp` in `stage` — the write-back
-    /// path for values enriched after first computation (a context's
-    /// warmed perf cache). Leaves the hit/miss counters alone.
+    /// Looks `fp` up in `stage` without computing: memory first, then
+    /// the disk tier through `decode` (a decoded entry is promoted to
+    /// memory). Counts a hit or a miss; an entry `decode` rejects is a
+    /// miss, for the caller to recompute and [`put`](Self::put) over.
+    pub fn get<T, D>(&self, stage: Stage, fp: &str, decode: D) -> Option<Arc<T>>
+    where
+        T: Send + Sync + 'static,
+        D: FnOnce(&str) -> Option<T>,
+    {
+        let key = memory_key(stage, fp);
+        let counters = &self.counters[stage.index()];
+        if let Some(v) = self.memory_get::<T>(&key) {
+            counters.hits.fetch_add(1, Ordering::Relaxed);
+            return Some(v);
+        }
+        let found = self.disk_get(stage, fp, &key, decode);
+        if found.is_none() {
+            counters.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        found
+    }
+
+    /// A memory-only lookup that leaves the counters alone: the
+    /// recheck after a counted [`get`](Self::get) in the same request.
+    /// Anything stored since that miss went to memory first, so
+    /// skipping the disk keeps the recheck cheap and the counters at
+    /// one count per request.
+    pub fn peek<T: Send + Sync + 'static>(&self, stage: Stage, fp: &str) -> Option<Arc<T>> {
+        self.memory_get(&memory_key(stage, fp))
+    }
+
+    /// Unconditionally (over)writes `fp` in `stage` — the store path
+    /// for values computed outside [`get_or_compute`](Self::get_or_compute)
+    /// (a rendered report after a [`get`](Self::get) miss). Leaves the
+    /// hit/miss counters alone.
     pub fn put<T, E>(&self, stage: Stage, fp: &str, value: T, encode: E) -> Arc<T>
     where
         T: Send + Sync + 'static,
@@ -374,7 +441,7 @@ impl MemoStore {
         if self.dir.is_some() {
             self.write_disk(stage, fp, &encode(&value));
         }
-        self.memory_put(format!("{}/{}", stage.as_str(), fp), Arc::clone(&value));
+        self.memory_put(stage, memory_key(stage, fp), Arc::clone(&value));
         value
     }
 }
@@ -456,7 +523,8 @@ mod tests {
             StageCounts {
                 hits: 2,
                 misses: 1,
-                disk_hits: 0
+                disk_hits: 0,
+                entries: 1
             }
         );
         assert_eq!(stats.context, StageCounts::default());
@@ -487,7 +555,8 @@ mod tests {
             StageCounts {
                 hits: 1,
                 misses: 0,
-                disk_hits: 1
+                disk_hits: 1,
+                entries: 1
             }
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -508,7 +577,8 @@ mod tests {
             StageCounts {
                 hits: 0,
                 misses: 1,
-                disk_hits: 0
+                disk_hits: 0,
+                entries: 1
             }
         );
         // The overwrite repaired the entry: a fresh store decodes it.
@@ -536,10 +606,83 @@ mod tests {
             StageCounts {
                 hits: 1,
                 misses: 1,
-                disk_hits: 0
+                disk_hits: 0,
+                entries: 1
             }
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn get_reads_through_disk_and_peek_stays_in_memory() {
+        let dir = tempdir("get");
+        let first = MemoStore::with_disk(dir.clone()).expect("create dirs");
+        let fp = fingerprint("report");
+        assert_eq!(first.get(Stage::Report, &fp, decode_u32), None);
+        assert_eq!(first.peek::<u32>(Stage::Report, &fp), None);
+        first.put(Stage::Report, &fp, 5u32, encode_u32);
+        assert_eq!(first.peek(Stage::Report, &fp).as_deref(), Some(&5u32));
+        assert_eq!(
+            first.get(Stage::Report, &fp, decode_u32).as_deref(),
+            Some(&5)
+        );
+        assert_eq!(
+            first.stats().report,
+            StageCounts {
+                hits: 1,
+                misses: 1,
+                disk_hits: 0,
+                entries: 1
+            },
+            "peek is uncounted"
+        );
+
+        // A fresh store over the same directory: peek never reads the
+        // disk, get does and promotes; an entry decode rejects is a miss.
+        let second = MemoStore::with_disk(dir.clone()).expect("reopen dirs");
+        assert_eq!(second.peek::<u32>(Stage::Report, &fp), None);
+        assert_eq!(second.get(Stage::Report, &fp, |_| None::<u32>), None);
+        assert_eq!(
+            second.get(Stage::Report, &fp, decode_u32).as_deref(),
+            Some(&5)
+        );
+        assert_eq!(second.peek(Stage::Report, &fp).as_deref(), Some(&5u32));
+        assert_eq!(
+            second.stats().report,
+            StageCounts {
+                hits: 1,
+                misses: 1,
+                disk_hits: 1,
+                entries: 1
+            }
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entries_spread_across_shards_and_len_sums_them() {
+        let store = MemoStore::in_memory();
+        // 64 distinct keys land in more than one shard (FNV over
+        // distinct strings collapsing 64 keys into one shard of 16
+        // would be astronomically unlucky) and the entry count still
+        // covers all of them.
+        let mut indices = std::collections::HashSet::new();
+        for n in 0..64u32 {
+            let fp = format!("{n:032x}");
+            indices.insert(shard_index(&memory_key(Stage::Report, &fp)));
+            store.put(Stage::Report, &fp, n, encode_u32);
+        }
+        assert!(indices.len() > 1, "all keys hashed to one shard");
+        let held: usize = store.shards.iter().map(|s| s.lock().unwrap().len()).sum();
+        assert_eq!(held, 64);
+        assert_eq!(store.stats().report.entries, 64);
+        for n in 0..64u32 {
+            let fp = format!("{n:032x}");
+            assert_eq!(
+                store.get(Stage::Report, &fp, decode_u32).as_deref(),
+                Some(&n)
+            );
+        }
     }
 
     #[test]
@@ -577,7 +720,8 @@ mod tests {
             StageCounts {
                 hits: 1,
                 misses: 1,
-                disk_hits: 0
+                disk_hits: 0,
+                entries: 1
             }
         );
         assert!(store.in_flight.lock().unwrap().is_empty());
@@ -618,7 +762,7 @@ mod tests {
     fn concurrent_misses_on_one_key_compute_once() {
         const THREADS: usize = 8;
         let store = MemoStore::in_memory();
-        let key = format!("{}/{}", Stage::Context.as_str(), fingerprint("shared"));
+        let key = memory_key(Stage::Context, &fingerprint("shared"));
         let computes = AtomicU64::new(0);
         std::thread::scope(|scope| {
             for _ in 0..THREADS {
@@ -662,7 +806,8 @@ mod tests {
             StageCounts {
                 hits: THREADS as u64 - 1,
                 misses: 1,
-                disk_hits: 0
+                disk_hits: 0,
+                entries: 1
             }
         );
         assert!(store.in_flight.lock().unwrap().is_empty());

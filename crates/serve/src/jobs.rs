@@ -17,9 +17,9 @@ use carma_core::scenario::ScenarioSpec;
 
 /// Executes one job: given the fingerprint and the spec, produce the
 /// cached payload (the server's runner renders the report to JSON and
-/// inserts it into the [`ResultCache`](crate::cache::ResultCache)
-/// before returning, so a `Done` job implies a warm cache).
-pub type RunnerFn = Arc<dyn Fn(&str, &ScenarioSpec) -> Result<Arc<str>, String> + Send + Sync>;
+/// stores it in the memo's report stage before returning, so a `Done`
+/// job implies a warm cache).
+pub type RunnerFn = Arc<dyn Fn(&str, &ScenarioSpec) -> Result<Arc<String>, String> + Send + Sync>;
 
 /// Called (outside the queue lock) every time a job retires — the
 /// event loop registers its waker here so suspended connections get
@@ -34,7 +34,7 @@ pub enum JobStatus {
     /// Claimed by a worker.
     Running,
     /// Finished; the payload is the rendered report JSON.
-    Done(Arc<str>),
+    Done(Arc<String>),
     /// The spec failed to run (resolve-stage errors are rejected
     /// before enqueueing, so this is a runner error or panic).
     Failed(String),
@@ -87,14 +87,14 @@ pub enum Submit {
 /// Outcome of [`JobQueue::submit_or_lookup`].
 pub enum SubmitOutcome {
     /// The result already exists; no job was created.
-    Cached(Arc<str>),
+    Cached(Arc<String>),
     /// See [`Submit`].
     Submitted(Submit),
 }
 
 /// How many finished (done/failed) job records are retained for
 /// `GET /jobs/:id` polling before the oldest is evicted. Results
-/// themselves live in the content-addressed cache; this only bounds
+/// themselves live in the memo's report stage; this only bounds
 /// the *metadata* a long-lived server keeps, so a multi-day sweep
 /// over many distinct scenarios cannot grow the job table without
 /// bound.
@@ -188,7 +188,7 @@ impl JobQueue {
         fingerprint: &str,
         experiment: &str,
         spec: &ScenarioSpec,
-        lookup: impl FnOnce() -> Option<Arc<str>>,
+        lookup: impl FnOnce() -> Option<Arc<String>>,
     ) -> SubmitOutcome {
         let mut state = self.state.lock().expect("queue lock");
         if let Some(&id) = state.inflight.get(fingerprint) {
@@ -414,7 +414,7 @@ mod tests {
             } else if fingerprint == "0000000000000000" {
                 panic!("injected panic");
             } else {
-                Ok(Arc::from(format!("{{\"fp\":\"{fingerprint}\"}}")))
+                Ok(Arc::new(format!("{{\"fp\":\"{fingerprint}\"}}")))
             }
         })
     }

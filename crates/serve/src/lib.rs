@@ -3,11 +3,15 @@
 //! An embedded HTTP scenario service over the CARMA experiment
 //! registry: `carma run` as a long-lived endpoint instead of a cold
 //! single-shot process. Design-space studies re-evaluate heavily
-//! overlapping scenario grids; with results stored in a
-//! content-addressed cache keyed by the resolved scenario's
+//! overlapping scenario grids; rendered reports live in the `report`
+//! stage of the server's memo store ([`carma_core::MemoLayer`]),
+//! keyed by the resolved scenario's
 //! [`fingerprint`](carma_core::scenario::ResolvedScenario::fingerprint),
-//! a repeated sweep turns from minutes of GA into microsecond cache
-//! hits — across server restarts too, with the optional disk store.
+//! so a repeated sweep turns from minutes of GA into microsecond cache
+//! hits — across server restarts too, with
+//! [`ServerConfig::memo_dir`](server::ServerConfig::memo_dir). The
+//! same store memoizes the library, context and cell stages, so
+//! scenarios that merely overlap still share work.
 //!
 //! The connection engine is **event-driven** (the `event` module): one
 //! thread, `poll(2)` readiness, a state machine per connection,
@@ -66,14 +70,12 @@
 #[cfg(not(unix))]
 compile_error!("carma-serve's event loop is built on poll(2) and needs a unix target");
 
-pub mod cache;
 mod event;
 pub mod http;
 pub mod jobs;
 pub mod metrics;
 pub mod server;
 
-pub use cache::{CacheTier, ResultCache, CACHE_SHARDS};
 pub use jobs::{JobQueue, JobSnapshot, JobStatus, QueueStats, Submit, SubmitOutcome};
 pub use metrics::{LatencyHistogram, Metrics};
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -118,16 +118,20 @@ impl Metrics {
 
 /// Renders the Prometheus text exposition for `GET /metrics`.
 ///
-/// `cache` is `(hits, misses, entries)`, `queue` is
-/// `(queued, running, completed, failed)`, `memo` is the stage-level
-/// memo counters (library/context/cell hits and misses).
+/// `queue` is `(queued, running, completed, failed)`, `memo` is the
+/// memo store's per-stage counters; the `carma_cache_*` series are its
+/// report stage.
 pub fn render(
     metrics: &Metrics,
-    cache: (u64, u64, usize),
     queue: (usize, usize, u64, u64),
     memo: carma_core::MemoStats,
 ) -> String {
-    let (hits, misses, entries) = cache;
+    let carma_core::StageCounts {
+        hits,
+        misses,
+        entries,
+        ..
+    } = memo.report;
     let (queued, running, completed, failed) = queue;
     let lookups = hits + misses;
     let hit_ratio = if lookups == 0 {
@@ -193,6 +197,15 @@ pub fn render(
             "carma_memo_misses_total{{stage=\"{}\"}} {}\n",
             stage.as_str(),
             c.misses
+        ));
+    }
+    text.push_str("# TYPE carma_memo_entries gauge\n");
+    for stage in carma_core::MemoStage::ALL {
+        let c = memo.stage(stage);
+        text.push_str(&format!(
+            "carma_memo_entries{{stage=\"{}\"}} {}\n",
+            stage.as_str(),
+            c.entries
         ));
     }
     text
@@ -261,17 +274,25 @@ mod tests {
         let mut memo = carma_core::MemoStats::default();
         memo.library.hits = 4;
         memo.context.misses = 2;
-        let text = render(&m, (2, 1, 1), (0, 0, 1, 0), memo);
+        memo.cell.entries = 5;
+        memo.report.hits = 2;
+        memo.report.misses = 1;
+        memo.report.entries = 1;
+        let text = render(&m, (0, 0, 1, 0), memo);
         for needle in [
             "carma_requests_total 3",
             "carma_cache_hits_total 2",
             "carma_cache_misses_total 1",
             "carma_cache_hit_ratio 0.666667",
+            "carma_cache_entries 1",
             "carma_queue_depth 0",
             "carma_jobs_completed_total 1",
             "carma_memo_hits_total{stage=\"library\"} 4",
             "carma_memo_hits_total{stage=\"cell\"} 0",
             "carma_memo_misses_total{stage=\"context\"} 2",
+            "carma_memo_hits_total{stage=\"report\"} 2",
+            "carma_memo_entries{stage=\"cell\"} 5",
+            "carma_memo_entries{stage=\"report\"} 1",
             "carma_request_latency_seconds{quantile=\"0.5\"}",
             "carma_request_latency_seconds{quantile=\"0.99\"}",
             "carma_request_latency_seconds_count 1",

@@ -19,7 +19,6 @@ use std::{io, thread};
 use carma_core::scenario::{ExperimentRegistry, RunEnv, ScenarioSpec};
 use carma_core::MemoLayer;
 
-use crate::cache::ResultCache;
 use crate::event;
 use crate::http::{Request, RequestError, Response};
 use crate::jobs::{JobQueue, JobSnapshot, JobStatus, RunnerFn, Submit, SubmitOutcome};
@@ -43,17 +42,15 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded queue capacity; past it, `POST /run` answers 503.
     pub queue_capacity: usize,
-    /// Optional on-disk cache directory (`None` = memory only).
-    pub cache_dir: Option<PathBuf>,
     /// Maximum concurrently open client connections; past it, new
     /// connections are answered 503 + `Retry-After` and closed.
     pub max_conns: usize,
-    /// Optional directory for the stage-level memo store shared by all
-    /// workers (`None` = in-memory memoization only). Distinct from
-    /// [`ServerConfig::cache_dir`], which caches whole rendered
-    /// reports: the memo store caches intermediate stages (multiplier
-    /// libraries, characterized contexts, sweep/GA cells), so scenarios
-    /// that merely *overlap* still reuse work.
+    /// Optional directory mirroring the memo store shared by all
+    /// workers (`None` = memory only): rendered reports under
+    /// `<dir>/report/`, which answer identical specs across restarts,
+    /// and the intermediate stages (multiplier libraries, characterized
+    /// contexts, sweep/GA cells) under `library/`, `context/` and
+    /// `cell/`, which let scenarios that merely *overlap* reuse work.
     pub memo_dir: Option<PathBuf>,
 }
 
@@ -62,7 +59,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 2,
             queue_capacity: 64,
-            cache_dir: None,
             max_conns: 512,
             memo_dir: None,
         }
@@ -71,13 +67,13 @@ impl Default for ServerConfig {
 
 pub(crate) struct ServeState {
     pub(crate) registry: Arc<ExperimentRegistry>,
-    pub(crate) cache: Arc<ResultCache>,
     pub(crate) queue: Arc<JobQueue>,
     pub(crate) config: ServerConfig,
     pub(crate) metrics: Metrics,
-    /// Shared stage-memo environment every worker runs through;
-    /// `/metrics` reads its hit/miss counters.
-    pub(crate) env: RunEnv,
+    /// The memo store every worker runs through and whose report stage
+    /// is the result cache; `/metrics` and `/healthz` read its
+    /// counters.
+    pub(crate) memo: MemoLayer,
     /// Always-on trace collector: workers run scenarios under it, the
     /// event loop stamps per-request spans into it.
     /// The span ring is bounded (feeding `GET /trace?last=N`); the
@@ -104,17 +100,17 @@ impl Server {
     /// [`Server::spawn`] to begin accepting requests.
     pub fn bind<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let cache = Arc::new(ResultCache::new(config.cache_dir.clone())?);
         let queue = JobQueue::new(config.queue_capacity);
         let registry = Arc::new(ExperimentRegistry::standard());
 
-        // One memo environment shared by every worker: overlapping
-        // scenarios reuse each other's libraries, characterized
-        // contexts, and sweep/GA cells across the whole server
-        // lifetime (and across restarts when `memo_dir` is set).
-        let env = match &config.memo_dir {
-            Some(dir) => RunEnv::with_memo(MemoLayer::with_disk(dir.clone())?),
-            None => RunEnv::standard(),
+        // One memo store shared by every worker: overlapping scenarios
+        // reuse each other's libraries, characterized contexts, and
+        // sweep/GA cells, and identical ones their reports, across the
+        // whole server lifetime (and across restarts when `memo_dir`
+        // is set).
+        let memo = match &config.memo_dir {
+            Some(dir) => MemoLayer::with_disk(dir.clone())?,
+            None => MemoLayer::in_memory(),
         };
 
         // Always-on bounded trace ring: recent spans feed
@@ -124,20 +120,20 @@ impl Server {
 
         // The worker runner: execute through the registry (under the
         // server's trace collector, so stage spans land in
-        // `/metrics` and `/trace`), render the report, insert into
-        // the content-addressed cache. A `Done` job therefore always
-        // implies a warm cache entry.
+        // `/metrics` and `/trace`), render the report, store it in the
+        // memo's report stage. A `Done` job therefore always implies a
+        // warm cache entry.
         let runner: RunnerFn = {
-            let cache = Arc::clone(&cache);
+            let memo = memo.clone();
             let registry = Arc::clone(&registry);
-            let env = env.clone();
+            let env = RunEnv::with_memo(memo.clone());
             let trace = Arc::clone(&trace);
             Arc::new(move |fingerprint: &str, spec: &ScenarioSpec| {
                 let report = carma_trace::with_collector(&trace, || {
                     registry.run_with_env(spec, None, None, &env)
                 })
                 .map_err(|e| e.to_string())?;
-                Ok(cache.insert(fingerprint, report.to_json()))
+                Ok(memo.put_report(fingerprint, report.to_json()))
             })
         };
         let workers = queue.start_workers(config.workers.max(1), &runner);
@@ -152,11 +148,10 @@ impl Server {
             listener,
             state: Arc::new(ServeState {
                 registry,
-                cache,
                 queue,
                 config,
                 metrics: Metrics::new(),
-                env,
+                memo,
                 trace,
                 shutdown: AtomicBool::new(false),
             }),
@@ -282,13 +277,13 @@ pub(crate) fn route(request: &Request, state: &ServeState) -> Routed {
 
 fn handle_healthz(state: &ServeState) -> Response {
     let queue = state.queue.stats();
-    let (cache_hits, cache_misses) = state.cache.stats();
+    let cache = state.memo.stats().report;
     Response::json(
         200,
         format!(
             "{{\"status\":\"ok\",\"experiments\":{},\"workers\":{},\"queue_capacity\":{},\
              \"jobs_queued\":{},\"jobs_running\":{},\"jobs_completed\":{},\"jobs_failed\":{},\
-             \"cache_entries\":{},\"cache_hits\":{cache_hits},\"cache_misses\":{cache_misses},\
+             \"cache_entries\":{},\"cache_hits\":{},\"cache_misses\":{},\
              \"connections\":{},\"requests\":{}}}",
             state.registry.entries().len(),
             state.config.workers.max(1),
@@ -297,7 +292,9 @@ fn handle_healthz(state: &ServeState) -> Response {
             queue.running,
             queue.completed,
             queue.failed,
-            state.cache.len(),
+            cache.entries,
+            cache.hits,
+            cache.misses,
             state.metrics.connections_open(),
             state.metrics.requests.load(Ordering::Relaxed),
         ),
@@ -306,14 +303,12 @@ fn handle_healthz(state: &ServeState) -> Response {
 
 fn handle_metrics(state: &ServeState) -> Response {
     let queue = state.queue.stats();
-    let (hits, misses) = state.cache.stats();
     Response::text(
         200,
         metrics::render(
             &state.metrics,
-            (hits, misses, state.cache.len()),
             (queue.queued, queue.running, queue.completed, queue.failed),
-            state.env.memo_stats().unwrap_or_default(),
+            state.memo.stats(),
         ) + &metrics::render_spans(&state.trace.aggregates(), state.trace.span_count()),
     )
 }
@@ -389,9 +384,9 @@ fn handle_job(state: &ServeState, id_text: &str) -> Response {
 }
 
 /// Body of a successful `POST /run`. The `report` member is spliced
-/// verbatim: the cache stores exactly the bytes `Report::to_json`
-/// produced, so clients stripping the wrapper recover a byte-identical
-/// `carma run … --out json` document.
+/// verbatim: the report stage stores exactly the bytes
+/// `Report::to_json` produced, so clients stripping the wrapper recover
+/// a byte-identical `carma run … --out json` document.
 fn run_response(cache: &str, fingerprint: &str, report_json: &str) -> Response {
     Response::json(
         200,
@@ -461,7 +456,7 @@ enum SpecOutcome {
     /// Served from the cache.
     Hit {
         fingerprint: String,
-        payload: Arc<str>,
+        payload: Arc<String>,
     },
     /// Enqueued or coalesced onto an in-flight job.
     InFlight { id: u64, fingerprint: String },
@@ -483,7 +478,7 @@ fn submit_spec(state: &ServeState, spec: &ScenarioSpec) -> SpecOutcome {
     let fingerprint = resolved.fingerprint();
 
     // Fast path: a warm entry answers without touching the queue.
-    if let Some((payload, _tier)) = state.cache.get(&fingerprint) {
+    if let Some(payload) = state.memo.report(&fingerprint, &resolved.name) {
         return SpecOutcome::Hit {
             fingerprint,
             payload,
@@ -499,7 +494,7 @@ fn submit_spec(state: &ServeState, spec: &ScenarioSpec) -> SpecOutcome {
     let submitted = state
         .queue
         .submit_or_lookup(&fingerprint, &resolved.name, spec, || {
-            state.cache.peek(&fingerprint)
+            state.memo.peek_report(&fingerprint)
         });
     match submitted {
         SubmitOutcome::Cached(payload) => SpecOutcome::Hit {

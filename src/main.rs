@@ -21,7 +21,7 @@ USAGE:
   carma run <name> [OPTIONS]          run a registered experiment
   carma run --spec <file> [OPTIONS]   run a JSON scenario spec
   carma lint [LINT OPTIONS]           statically analyze the multiplier libraries
-  carma serve [SERVE OPTIONS]         serve experiments over HTTP with a result cache
+  carma serve [SERVE OPTIONS]         serve experiments over HTTP, memoizing reports
   carma help                          show this message
 
 LINT OPTIONS:
@@ -41,8 +41,9 @@ SERVE OPTIONS:
   --addr <host:port>   listen address                     (default: 127.0.0.1:8337)
   --workers <N>        job-queue worker threads           (default: 2)
   --queue <N>          bounded job-queue capacity         (default: 64)
-  --cache-dir <dir>    persist the result cache to <dir>  (default: memory only)
-  --memo-dir <dir>     persist the stage memo to <dir> (shared by all workers)
+  --memo-dir <dir>     persist the memo store to <dir> (shared by all workers):
+                       reports under report/, reused stages under library/,
+                       context/ and cell/                 (default: memory only)
   --max-conns <N>      open-connection limit; extras get a 503 + Retry-After
                        (default: 512)
 
@@ -426,7 +427,6 @@ fn serve(args: &[String]) -> ExitCode {
                     .map(|n| config.queue_capacity = n)
                     .ok_or_else(|| format!("`--queue` needs a positive integer (got `{v}`)"))
             }),
-            "--cache-dir" => value_for("--cache-dir").map(|v| config.cache_dir = Some(v.into())),
             "--memo-dir" => value_for("--memo-dir").map(|v| config.memo_dir = Some(v.into())),
             "--max-conns" => value_for("--max-conns").and_then(|v| {
                 v.parse::<usize>()
@@ -462,17 +462,11 @@ fn serve(args: &[String]) -> ExitCode {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     eprintln!(
-        "workers: {}, queue capacity: {}, max connections: {}, cache: {}",
-        config.workers,
-        config.queue_capacity,
-        config.max_conns,
-        config
-            .cache_dir
-            .as_deref()
-            .map_or("memory only".to_string(), |d| d.display().to_string()),
+        "workers: {}, queue capacity: {}, max connections: {}",
+        config.workers, config.queue_capacity, config.max_conns,
     );
     eprintln!(
-        "stage memo: {}",
+        "memo store (reports and stages): {}",
         config
             .memo_dir
             .as_deref()
@@ -691,7 +685,12 @@ fn run(args: &[String]) -> ExitCode {
 
     if parsed.memo_stats {
         if let Some(stats) = env.memo_stats() {
+            // `carma run` never reads the report stage (`carma serve`
+            // does), so its always-zero line is left out.
             for stage in carma_core::MemoStage::ALL {
+                if stage == carma_core::MemoStage::Report {
+                    continue;
+                }
                 let c = stats.stage(stage);
                 eprintln!(
                     "memo {}: hits={} misses={} disk_hits={}",

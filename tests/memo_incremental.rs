@@ -89,7 +89,7 @@ fn disk_tier_survives_process_boundaries_bit_exactly() {
     // "Process one": cold run, everything computed and mirrored to disk.
     let cold_env = RunEnv::with_memo(MemoLayer::with_disk(dir.clone()).expect("open memo dir"));
     let cold = run(&cold_env, &spec);
-    drop(cold_env); // contexts write their seeds back on drop
+    drop(cold_env);
 
     // "Process two": a fresh layer over the same directory must serve
     // every stage from disk and reproduce the report byte for byte.
@@ -191,6 +191,25 @@ fn result_shaping_fields_move_exactly_their_stages() {
         "a new library must recharacterize the context"
     );
     assert!(cell_miss >= 1, "a new library must recompute the cells");
+}
+
+#[test]
+fn node_sweep_characterizes_accuracy_once() {
+    // Accuracy drops do not depend on the node: table1's three node
+    // contexts share one context entry (one miss, two hits), while
+    // each node still computes its own cells.
+    let mut spec = ScenarioSpec::named("table1").with_scale(Scale::Quick);
+    spec.library_depth = Some(2);
+    spec.accuracy_samples = Some(32);
+    let env = RunEnv::standard();
+    let report = run(&env, &spec);
+    let s = stats(&env);
+    assert_eq!((s.context.hits, s.context.misses), (2, 1), "{s:?}");
+    assert_eq!(
+        report.to_json(),
+        run(&RunEnv::bare(), &spec).to_json(),
+        "sharing the context changed the report"
+    );
 }
 
 #[test]

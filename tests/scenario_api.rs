@@ -913,6 +913,30 @@ fn spec_json_round_trip_is_byte_stable() {
 // ─── the resolved-scenario fingerprint (the content address) ────────
 
 #[test]
+fn fingerprints_are_pinned_and_share_one_hash_with_imports() {
+    // The content addresses `carma serve` stores reports under must
+    // not move: a change here orphans every persisted report.
+    for (experiment, golden) in [
+        ("fig2", "40594b690077ac1f869bb451ca4c1ccf"),
+        ("table1", "e3d9c5759bcce37db51a19b28f3bc0cd"),
+    ] {
+        let resolved = ScenarioSpec::named(experiment)
+            .with_scale(Scale::Quick)
+            .resolve(registry(), None, None)
+            .expect("valid spec");
+        assert_eq!(resolved.fingerprint(), golden, "{experiment}");
+    }
+    // carma-import keeps its own copy of the hash; it must agree.
+    for input in ["", "a", "{\"x\":1}", "module m (a, b);\nendmodule\n"] {
+        assert_eq!(
+            carma_memo::fingerprint(input),
+            carma_import::content_hash(input.as_bytes()),
+            "{input:?}"
+        );
+    }
+}
+
+#[test]
 fn fingerprint_is_invariant_to_thread_count() {
     let base = small_fig2_spec();
     let mut one = base.clone();

@@ -1,9 +1,10 @@
 //! The `carma-serve` HTTP scenario service end to end: boot on an
 //! ephemeral port, prove byte-identical artifacts vs the registry
 //! (what `carma run … --out json` prints), cache-hit semantics
-//! in-process and across a restart with the disk store, fingerprint
-//! invariance to thread count, async job flow, concurrent-request
-//! determinism with single-flight coalescing, and the error paths.
+//! in-process and across a restart with the memo's disk tier (corrupt
+//! report files never served), fingerprint invariance to thread count,
+//! async job flow, concurrent-request determinism with single-flight
+//! coalescing, and the error paths.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -179,7 +180,7 @@ fn disk_cache_survives_a_server_restart() {
         std::env::temp_dir().join(format!("carma-serve-restart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let config = ServerConfig {
-        cache_dir: Some(dir.clone()),
+        memo_dir: Some(dir.clone()),
         ..ServerConfig::default()
     };
     let spec_json = small_spec_json(202);
@@ -202,6 +203,50 @@ fn disk_cache_survives_a_server_restart() {
     );
     assert_eq!(extract_report(&miss.body), extract_report(&hit.body));
     second_server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn corrupt_report_files_are_recomputed_never_served() {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("carma-serve-corrupt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig {
+        memo_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let spec_json = small_spec_json(404);
+    let fingerprint = ScenarioSpec::from_json(&spec_json)
+        .expect("spec parses")
+        .resolve(registry(), None, None)
+        .expect("spec resolves")
+        .fingerprint();
+    let path = dir.join("report").join(format!("{fingerprint}.json"));
+
+    let first_server = boot(config.clone());
+    let first = post_run(first_server.addr(), &spec_json);
+    assert_eq!(first.status, 200, "{}", first.body);
+    assert_eq!(cache_marker(&first), "miss");
+    first_server.shutdown();
+    let report = extract_report(&first.body).to_string();
+    assert_eq!(
+        std::fs::read_to_string(&path).expect("report stored"),
+        report
+    );
+
+    // Garbage, then a well-formed object naming another experiment:
+    // each is a miss for the next server, which recomputes the same
+    // bytes and repairs the file.
+    for poison in ["\x00not json at all", r#"{"experiment":"table1"}"#] {
+        std::fs::write(&path, poison).expect("poison the report file");
+        let server = boot(config.clone());
+        let again = post_run(server.addr(), &spec_json);
+        assert_eq!(again.status, 200, "{}", again.body);
+        assert_eq!(cache_marker(&again), "miss", "served {poison:?}");
+        assert_eq!(extract_report(&again.body), report);
+        server.shutdown();
+        assert_eq!(std::fs::read_to_string(&path).expect("rewritten"), report);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
