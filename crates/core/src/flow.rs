@@ -8,6 +8,12 @@
 //!   unchanged"*);
 //! * [`ga_cdp`] — the proposed flow: a genetic algorithm over the full
 //!   chromosome with CDP fitness under FPS and accuracy constraints.
+//!
+//! Every GA run minimizes one [`Objective`]: the paper's service-level
+//! CDP by default, the lifecycle-carbon and classical metrics the
+//! `deployment` scenario can select, and the metric ablation's arms.
+//! [`ga_cdp_with_objective`] is the general entry point; [`ga_cdp`] is
+//! its CDP case.
 
 use carma_carbon::{Cep, DeploymentProfile, Edp};
 use carma_dnn::DnnModel;
@@ -19,65 +25,33 @@ use serde::json::to_string as js;
 use crate::context::{CarmaContext, DesignEval};
 use crate::space::DesignPoint;
 
-/// The GA fitness metric.
+/// The scalar a GA run minimizes.
 ///
 /// The paper optimizes the Carbon Delay Product under a performance
 /// threshold, arguing that edge accelerators are *overdesigned*:
 /// throughput beyond the application's requirement has no value. The
-/// default [`ServiceCdp`](FitnessMetric::ServiceCdp) therefore floors
-/// the delay factor at the required frame time — once a design meets
-/// the threshold, further speed does not pay down carbon, and the GA
-/// converges to the low-carbon threshold-hugging designs of the
-/// paper's Figure 2. [`RawCdp`](FitnessMetric::RawCdp) (unclamped) and
-/// the carbon-blind [`Edp`](FitnessMetric::Edp) are provided for the
-/// `ablation_metric` bench, which quantifies how the choice changes
-/// the outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FitnessMetric {
-    /// CDP with the delay floored at the constraint's frame time
-    /// (default; the paper's operating point).
-    #[default]
-    ServiceCdp,
-    /// Unclamped CDP: embodied carbon × actual latency.
-    RawCdp,
-    /// Embodied carbon alone.
-    Carbon,
-    /// Energy Delay Product (carbon-blind classical metric).
-    Edp,
-}
-
-impl FitnessMetric {
-    /// The scalar objective value of `eval` under this metric.
-    pub fn objective(self, eval: &DesignEval, constraints: &Constraints) -> f64 {
-        match self {
-            FitnessMetric::ServiceCdp => {
-                let service_delay = eval.latency_s.max(1.0 / constraints.min_fps);
-                eval.embodied.as_grams() * service_delay
-            }
-            FitnessMetric::RawCdp => eval.cdp,
-            FitnessMetric::Carbon => eval.embodied.as_grams(),
-            FitnessMetric::Edp => eval.energy_j * eval.latency_s,
-        }
-    }
-}
-
-/// The deployment-aware optimization objective of a scenario.
-///
-/// Where [`FitnessMetric`] enumerates the embodied-only fitness
-/// variants of the metric ablation, `Objective` is the scenario-level
-/// choice the `carma` CLI exposes, extended with
-/// [`TotalCarbon`](Objective::TotalCarbon): the full lifecycle bill —
+/// default [`Cdp`](Objective::Cdp) therefore floors the delay factor at
+/// the required frame time — once a design meets the threshold, further
+/// speed does not pay down carbon, and the GA converges to the
+/// low-carbon threshold-hugging designs of the paper's Figure 2.
+/// [`TotalCarbon`](Objective::TotalCarbon) is the full lifecycle bill —
 /// die + system embodied + operational over a [`DeploymentProfile`] —
 /// that lets deployment scenarios trade manufacturing carbon against
-/// use-phase emissions.
+/// use-phase emissions. Scenario specs select `cdp`, `total-carbon`,
+/// `cep` or `edp`; [`RawCdp`](Objective::RawCdp) and
+/// [`Carbon`](Objective::Carbon) exist for the `ablation_metric` bench,
+/// which quantifies how the choice changes the outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Objective {
     /// The paper's fitness: service-level Carbon Delay Product
     /// (embodied carbon × delay floored at the FPS constraint's frame
-    /// time). Identical to [`FitnessMetric::ServiceCdp`] — a GA run
-    /// under `Objective::Cdp` reproduces the GA-CDP flow exactly.
+    /// time).
     #[default]
     Cdp,
+    /// Unclamped CDP: embodied carbon × actual latency.
+    RawCdp,
+    /// Embodied carbon alone.
+    Carbon,
     /// Total lifecycle carbon of the deployed module: die + system
     /// embodied + operational (the deployment profile decides how much
     /// the use phase weighs).
@@ -99,22 +73,47 @@ impl Objective {
         profile: &DeploymentProfile,
     ) -> f64 {
         match self {
-            // Delegate to the metric so Cdp stays bit-identical to the
-            // pre-objective GA-CDP flow at any seed/scale.
-            Objective::Cdp => FitnessMetric::ServiceCdp.objective(eval, constraints),
+            Objective::Cdp => {
+                let service_delay = eval.latency_s.max(1.0 / constraints.min_fps);
+                eval.embodied.as_grams() * service_delay
+            }
+            Objective::RawCdp => eval.cdp,
+            Objective::Carbon => eval.embodied.as_grams(),
             Objective::TotalCarbon => eval.footprint(profile).total().as_grams(),
             Objective::Cep => Cep::new(eval.embodied, eval.energy_j).value(),
             Objective::Edp => Edp::new(eval.energy_j, eval.latency_s).value(),
         }
     }
 
-    /// The spec/CLI spelling.
+    /// The spec/CLI spelling. `raw-cdp` and `carbon` only name the
+    /// ablation arms: scenario specs reject them.
     pub fn as_str(self) -> &'static str {
         match self {
             Objective::Cdp => "cdp",
+            Objective::RawCdp => "raw-cdp",
+            Objective::Carbon => "carbon",
             Objective::TotalCarbon => "total-carbon",
             Objective::Cep => "cep",
             Objective::Edp => "edp",
+        }
+    }
+
+    /// Canonical JSON of this objective in a GA cell key: the four
+    /// metric-ablation arms as `metric`s (CDP as `service-cdp`), CEP and
+    /// total carbon as `objective`s. The deployment profile is named
+    /// only under `total-carbon`, the one objective that reads it, so
+    /// profile sweeps reuse every other objective's cells.
+    fn canon(self, profile: &DeploymentProfile) -> String {
+        match self {
+            Objective::Cdp => "{\"metric\":\"service-cdp\"}".to_string(),
+            Objective::RawCdp | Objective::Carbon | Objective::Edp => {
+                format!("{{\"metric\":\"{}\"}}", self.as_str())
+            }
+            Objective::TotalCarbon => format!(
+                "{{\"objective\":\"total-carbon\",\"profile\":{}}}",
+                crate::memo::profile_canon(profile)
+            ),
+            Objective::Cep => "{\"objective\":\"cep\"}".to_string(),
         }
     }
 }
@@ -285,52 +284,6 @@ pub fn smallest_exact_meeting(ctx: &CarmaContext, model: &DnnModel, min_fps: f64
         .unwrap_or_else(|| sweep.last().expect("sweep is non-empty").clone())
 }
 
-/// The fitness a [`GaCdpProblem`] minimizes: either one of the
-/// metric-ablation variants, or a deployment-aware [`Objective`].
-enum GaFitness<'a> {
-    Metric(FitnessMetric),
-    Objective(Objective, &'a DeploymentProfile),
-}
-
-impl GaFitness<'_> {
-    fn value(&self, eval: &DesignEval, constraints: &Constraints) -> f64 {
-        match self {
-            GaFitness::Metric(m) => m.objective(eval, constraints),
-            GaFitness::Objective(o, profile) => o.value(eval, constraints, profile),
-        }
-    }
-
-    /// Canonical JSON of this fitness for the cell key. Two rules keep
-    /// the key minimal while staying exact: `Objective::Cdp` canonizes
-    /// to the service-CDP metric it delegates to (documented
-    /// bit-identical, so the cells may share), and the deployment
-    /// profile is named only under `total-carbon` — the one fitness
-    /// that reads it — so profile sweeps reuse every other objective's
-    /// cells.
-    fn canon(&self) -> String {
-        let metric = |m: FitnessMetric| {
-            format!(
-                "{{\"metric\":\"{}\"}}",
-                match m {
-                    FitnessMetric::ServiceCdp => "service-cdp",
-                    FitnessMetric::RawCdp => "raw-cdp",
-                    FitnessMetric::Carbon => "carbon",
-                    FitnessMetric::Edp => "edp",
-                }
-            )
-        };
-        match self {
-            GaFitness::Metric(m) => metric(*m),
-            GaFitness::Objective(Objective::Cdp, _) => metric(FitnessMetric::ServiceCdp),
-            GaFitness::Objective(Objective::TotalCarbon, profile) => format!(
-                "{{\"objective\":\"total-carbon\",\"profile\":{}}}",
-                crate::memo::profile_canon(profile)
-            ),
-            GaFitness::Objective(o, _) => format!("{{\"objective\":\"{}\"}}", o.as_str()),
-        }
-    }
-}
-
 /// The best point of a baseline sweep under `objective`, restricted to
 /// points satisfying `constraints` (ties go to the earlier — smaller —
 /// preset). `None` when no point qualifies.
@@ -357,14 +310,15 @@ pub fn best_in_sweep<'a>(
         })
 }
 
-/// The GA-CDP problem wrapper: minimize CDP subject to the constraints
-/// (violations normalized so FPS and accuracy shortfalls are
-/// commensurable).
+/// The GA-CDP problem wrapper: minimize the objective subject to the
+/// constraints (violations normalized so FPS and accuracy shortfalls
+/// are commensurable).
 struct GaCdpProblem<'a> {
     ctx: &'a CarmaContext,
     model: &'a DnnModel,
     constraints: Constraints,
-    fitness: GaFitness<'a>,
+    objective: Objective,
+    profile: &'a DeploymentProfile,
 }
 
 impl Problem for GaCdpProblem<'_> {
@@ -404,13 +358,14 @@ impl Problem for GaCdpProblem<'_> {
             0.0
         };
         Evaluation::with_violation(
-            self.fitness.value(&eval, &self.constraints),
+            self.objective.value(&eval, &self.constraints, self.profile),
             fps_violation + acc_violation,
         )
     }
 }
 
-/// Runs the paper's GA-CDP flow and returns the best feasible design.
+/// Runs the paper's GA-CDP flow and returns the best feasible design:
+/// [`ga_cdp_with_objective`] under [`Objective::Cdp`].
 ///
 /// # Panics
 ///
@@ -423,30 +378,14 @@ pub fn ga_cdp(
     constraints: Constraints,
     config: GaConfig,
 ) -> DesignEval {
-    ga_cdp_with_metric(ctx, model, constraints, config, FitnessMetric::default())
+    let profile = DeploymentProfile::edge_default();
+    ga_cdp_with_objective(ctx, model, constraints, config, Objective::Cdp, &profile)
 }
 
-/// [`ga_cdp`] with an explicit fitness metric (for the metric
-/// ablation).
-///
-/// # Panics
-///
-/// Panics if the GA finds no feasible design (contradictory
-/// constraints).
-pub fn ga_cdp_with_metric(
-    ctx: &CarmaContext,
-    model: &DnnModel,
-    constraints: Constraints,
-    config: GaConfig,
-    metric: FitnessMetric,
-) -> DesignEval {
-    run_ga(ctx, model, constraints, config, GaFitness::Metric(metric))
-}
-
-/// [`ga_cdp`] under a deployment-aware [`Objective`]: the same seeded
-/// GA over the same space, minimizing `objective` evaluated against
-/// `profile`. `Objective::Cdp` reproduces [`ga_cdp`] bit-for-bit at
-/// the same seed and scale (the profile is then ignored).
+/// The seeded GA over the full design space, minimizing `objective`
+/// evaluated against `profile` (read only by
+/// [`TotalCarbon`](Objective::TotalCarbon)) under `constraints`. On a
+/// memo-built context the result is a cell-stage entry.
 ///
 /// # Panics
 ///
@@ -460,35 +399,19 @@ pub fn ga_cdp_with_objective(
     objective: Objective,
     profile: &DeploymentProfile,
 ) -> DesignEval {
-    run_ga(
-        ctx,
-        model,
-        constraints,
-        config,
-        GaFitness::Objective(objective, profile),
-    )
-}
-
-fn run_ga(
-    ctx: &CarmaContext,
-    model: &DnnModel,
-    constraints: Constraints,
-    config: GaConfig,
-    fitness: GaFitness<'_>,
-) -> DesignEval {
     let tail = format!(
         "\"kind\":\"ga\",\"model\":{},\"constraints\":{},\"ga\":{},\"fitness\":{}",
         js(model.name()),
         crate::memo::constraints_canon(&constraints),
         crate::memo::ga_canon(&config),
-        fitness.canon()
+        objective.canon(profile)
     );
     memo_cell(
         ctx,
         &tail,
         crate::memo::encode_eval,
         crate::memo::decode_eval,
-        move || run_ga_uncached(ctx, model, constraints, config, fitness),
+        || run_ga_uncached(ctx, model, constraints, config, objective, profile),
     )
 }
 
@@ -497,13 +420,15 @@ fn run_ga_uncached(
     model: &DnnModel,
     constraints: Constraints,
     config: GaConfig,
-    fitness: GaFitness<'_>,
+    objective: Objective,
+    profile: &DeploymentProfile,
 ) -> DesignEval {
     let problem = GaCdpProblem {
         ctx,
         model,
         constraints,
-        fitness,
+        objective,
+        profile,
     };
     // Seed the population with the NVDLA presets, both exact and with
     // the best in-budget multiplier: the GA then never loses to the
@@ -695,7 +620,7 @@ mod tests {
         let profile = DeploymentProfile::edge_default();
         assert_eq!(
             Objective::Cdp.value(&eval, &constraints, &profile),
-            FitnessMetric::ServiceCdp.objective(&eval, &constraints)
+            eval.embodied.as_grams() * eval.latency_s.max(1.0 / constraints.min_fps)
         );
         assert_eq!(
             Objective::Cep.value(&eval, &constraints, &profile),
@@ -708,6 +633,27 @@ mod tests {
         assert_eq!(
             Objective::TotalCarbon.value(&eval, &constraints, &profile),
             eval.footprint(&profile).total().as_grams()
+        );
+    }
+
+    #[test]
+    fn objective_cell_key_fragments_are_pinned() {
+        // A changed fragment silently orphans every stored GA cell
+        // under a `--memo-dir`; these are the spellings the store holds.
+        let profile = DeploymentProfile::edge_default();
+        let canon = |o: Objective| o.canon(&profile);
+        assert_eq!(canon(Objective::Cdp), r#"{"metric":"service-cdp"}"#);
+        assert_eq!(canon(Objective::RawCdp), r#"{"metric":"raw-cdp"}"#);
+        assert_eq!(canon(Objective::Carbon), r#"{"metric":"carbon"}"#);
+        assert_eq!(canon(Objective::Edp), r#"{"metric":"edp"}"#);
+        assert_eq!(canon(Objective::Cep), r#"{"objective":"cep"}"#);
+        assert_eq!(
+            canon(Objective::TotalCarbon),
+            concat!(
+                r#"{"objective":"total-carbon","profile":{"grid_g_per_kwh":"407db00000000000","#,
+                r#""lifetime_hours":"40d9aa0000000000","utilization":"3ff0000000000000","#,
+                r#""package":"monolithic","dram_gb":"4000000000000000"}}"#
+            )
         );
     }
 

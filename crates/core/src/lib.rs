@@ -45,7 +45,7 @@ pub mod scenario;
 pub mod space;
 
 pub use context::{CarmaContext, DesignEval};
-pub use flow::{ConstraintError, Constraints, FitnessMetric, Objective, SweepPoint};
+pub use flow::{ConstraintError, Constraints, Objective, SweepPoint};
 pub use memo::MemoLayer;
 pub use scenario::{
     fixture_lint_report, ExperimentRegistry, Provenance, Report, RunEnv, Scale, ScenarioError,

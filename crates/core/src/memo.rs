@@ -76,12 +76,6 @@ impl MemoLayer {
         self.store.stats()
     }
 
-    /// The characterized library of `(scenario, family)`, through the
-    /// memo.
-    pub fn library(&self, r: &ResolvedScenario, family: Family) -> Arc<MultiplierLibrary> {
-        self.library_from(r, &LibrarySource::Builtin(family))
-    }
-
     /// The characterized library of `(scenario, source)`, through the
     /// memo. Imported sources key on the content hash of the library
     /// file's bytes, so a rename hits and an edit misses.
@@ -97,17 +91,6 @@ impl MemoLayer {
             decode_library,
             || r.library_from(source),
         )
-    }
-
-    /// [`Self::context_from`] at a builtin family (the ablation
-    /// loops pivot on `Family` directly).
-    pub fn context_with_family(
-        &self,
-        r: &ResolvedScenario,
-        family: Family,
-        node: TechNode,
-    ) -> CarmaContext {
-        self.context_from(r, &LibrarySource::Builtin(family), node)
     }
 
     /// The evaluation context of `(scenario, source, node)`, read

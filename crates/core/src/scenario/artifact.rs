@@ -200,43 +200,299 @@ pub enum Artifact {
     LintFinding(Vec<LintFindingRow>),
 }
 
-fn opt(v: Option<f64>, fmt: impl Fn(f64) -> String, none: &str) -> String {
-    v.map(fmt).unwrap_or_else(|| none.to_string())
+/// One report column: its text-table header, its CSV header, and the
+/// display cell both sinks print.
+type Column<R> = (&'static str, &'static str, fn(&R) -> String);
+
+/// An artifact rendered for the text and CSV sinks: two headers over
+/// the same display cells.
+struct Table {
+    header: Vec<String>,
+    csv_header: Vec<String>,
+    rows: Vec<Vec<String>>,
+}
+
+/// A row type's one report definition: the JSON sink's `kind` tag and
+/// its ordered columns. The JSON sink serializes the typed rows
+/// themselves, at full precision; the columns shape the text and CSV
+/// sinks.
+trait RowType: Serialize + Sized + 'static {
+    /// Stable kind tag of the JSON sink.
+    const KIND: &'static str;
+    /// The columns, in print order.
+    const COLUMNS: &'static [Column<Self>];
+
+    /// The rendered table: one line per row, one cell per column.
+    fn table(rows: &[Self]) -> Table {
+        Table {
+            header: Self::COLUMNS.iter().map(|c| c.0.to_string()).collect(),
+            csv_header: Self::COLUMNS.iter().map(|c| c.1.to_string()).collect(),
+            rows: rows
+                .iter()
+                .map(|r| Self::COLUMNS.iter().map(|c| (c.2)(r)).collect())
+                .collect(),
+        }
+    }
+}
+
+/// One artifact's typed rows behind a type-erased view: what every
+/// [`Artifact`] method reads through.
+trait Rows {
+    fn kind(&self) -> &'static str;
+    fn len(&self) -> usize;
+    fn table(&self) -> Table;
+    fn json(&self) -> String;
+}
+
+impl<R: RowType> Rows for Vec<R> {
+    fn kind(&self) -> &'static str {
+        R::KIND
+    }
+
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn table(&self) -> Table {
+        R::table(self)
+    }
+
+    fn json(&self) -> String {
+        serde::json::to_string(self)
+    }
+}
+
+/// `v` at `precision` decimals, or the `none` marker.
+fn opt(v: Option<f64>, precision: usize, none: &str) -> String {
+    v.map_or_else(|| none.to_string(), |v| format!("{v:.precision$}"))
+}
+
+impl RowType for Fig2Row {
+    const KIND: &'static str = "fig2";
+    const COLUMNS: &'static [Column<Self>] = &[
+        ("series", "series", |r| r.series.clone()),
+        // GA points need not be NVDLA presets: no MAC count.
+        ("MACs", "macs", |r| match r.macs {
+            0 => "-".to_string(),
+            macs => macs.to_string(),
+        }),
+        ("FPS", "fps", |r| format!("{:.2}", r.fps)),
+        ("carbon [gCO2]", "carbon_g", |r| {
+            format!("{:.3}", r.carbon_g)
+        }),
+    ];
+}
+
+impl RowType for ReductionRow {
+    const KIND: &'static str = "reduction";
+    /// Printed transposed: each column is one line per node, named in
+    /// the `type` column of both sinks.
+    const COLUMNS: &'static [Column<Self>] = &[
+        ("avg", "avg", |r| format!("{:.2}", r.avg_pct)),
+        ("peak", "peak", |r| format!("{:.2}", r.peak_pct)),
+    ];
+
+    /// The paper's layout: per node, one line per column, with the
+    /// accuracy classes as the table's columns.
+    fn table(rows: &[Self]) -> Table {
+        let classes = reduction_classes(rows);
+        let mut header = vec!["node".to_string(), "type".to_string()];
+        let mut csv_header = header.clone();
+        for class in &classes {
+            header.push(format!("{:.1}%", class * 100.0));
+            csv_header.push(format!("pct_at_{class}"));
+        }
+        let mut lines = Vec::new();
+        for chunk in rows.chunks(classes.len().max(1)) {
+            for (i, (label, _, cell)) in Self::COLUMNS.iter().enumerate() {
+                let node = if i == 0 {
+                    chunk[0].node.to_string()
+                } else {
+                    String::new()
+                };
+                let mut line = vec![node, label.to_string()];
+                line.extend(chunk.iter().map(cell));
+                lines.push(line);
+            }
+        }
+        Table {
+            header,
+            csv_header,
+            rows: lines,
+        }
+    }
+}
+
+impl RowType for Fig3Row {
+    const KIND: &'static str = "fig3";
+    const COLUMNS: &'static [Column<Self>] = &[
+        ("model", "model", |r| r.model.clone()),
+        ("node", "node", |r| r.node.to_string()),
+        ("exact", "exact", |r| format!("{:.3}", r.exact)),
+        ("approx-only", "approx_only", |r| {
+            format!("{:.3}", r.approx_only)
+        }),
+        ("ga-cdp", "ga_cdp", |r| format!("{:.3}", r.ga_cdp)),
+        ("exact [gCO2]", "exact_carbon_g", |r| {
+            format!("{:.2}", r.exact_carbon_g)
+        }),
+    ];
+}
+
+impl RowType for FamilyRow {
+    const KIND: &'static str = "family";
+    const COLUMNS: &'static [Column<Self>] = &[
+        ("library", "library", |r| r.library.clone()),
+        ("units", "units", |r| r.units.to_string()),
+        ("chosen mult", "multiplier", |r| r.multiplier.clone()),
+        ("FPS", "fps", |r| format!("{:.1}", r.fps)),
+        ("carbon [g]", "carbon_g", |r| format!("{:.3}", r.carbon_g)),
+        ("saving %", "saving_pct", |r| format!("{:.1}", r.saving_pct)),
+    ];
+}
+
+impl RowType for GridRow {
+    const KIND: &'static str = "grid";
+    const COLUMNS: &'static [Column<Self>] = &[
+        ("grid", "grid", |r| r.grid.clone()),
+        ("CI [g/kWh]", "ci_g_per_kwh", |r| {
+            format!("{:.0}", r.ci_g_per_kwh)
+        }),
+        ("exact [g]", "exact_g", |r| format!("{:.3}", r.exact_g)),
+        ("ga-cdp [g]", "ga_cdp_g", |r| format!("{:.3}", r.ga_cdp_g)),
+        ("saving %", "saving_pct", |r| format!("{:.1}", r.saving_pct)),
+    ];
+}
+
+impl RowType for MetricRow {
+    const KIND: &'static str = "metric";
+    const COLUMNS: &'static [Column<Self>] = &[
+        ("fitness", "fitness", |r| r.fitness.clone()),
+        ("MACs", "macs", |r| r.macs.to_string()),
+        ("FPS", "fps", |r| format!("{:.1}", r.fps)),
+        ("carbon [g]", "carbon_g", |r| format!("{:.3}", r.carbon_g)),
+        ("energy [mJ]", "energy_mj", |r| {
+            format!("{:.2}", r.energy_mj)
+        }),
+        ("saving %", "saving_pct", |r| format!("{:.1}", r.saving_pct)),
+    ];
+}
+
+impl RowType for SearchRow {
+    const KIND: &'static str = "search";
+    const COLUMNS: &'static [Column<Self>] = &[
+        ("search", "search", |r| r.search.clone()),
+        ("evals", "evals", |r| r.evals.to_string()),
+        ("FPS", "fps", |r| opt(r.fps, 1, "-")),
+        ("carbon [g]", "carbon_g", |r| {
+            opt(r.carbon_g, 3, "(no feasible design found)")
+        }),
+        ("saving %", "saving_pct", |r| opt(r.saving_pct, 1, "-")),
+    ];
+}
+
+impl RowType for YieldRow {
+    const KIND: &'static str = "yield";
+    const COLUMNS: &'static [Column<Self>] = &[
+        ("node", "node", |r| r.node.to_string()),
+        ("yield model", "yield_model", |r| r.yield_model.clone()),
+        ("exact [g]", "exact_g", |r| format!("{:.4}", r.exact_g)),
+        ("ga-cdp [g]", "ga_cdp_g", |r| format!("{:.4}", r.ga_cdp_g)),
+        ("saving %", "saving_pct", |r| format!("{:.1}", r.saving_pct)),
+    ];
+}
+
+impl RowType for DeploymentRow {
+    const KIND: &'static str = "deployment";
+    const COLUMNS: &'static [Column<Self>] = &[
+        ("grid", "grid", |r| r.grid.clone()),
+        ("CI [g/kWh]", "ci_g_per_kwh", |r| {
+            format!("{:.0}", r.ci_g_per_kwh)
+        }),
+        ("life [h]", "lifetime_h", |r| format!("{:.0}", r.lifetime_h)),
+        ("MACs", "macs", |r| r.macs.to_string()),
+        ("mult", "multiplier", |r| r.multiplier.clone()),
+        ("FPS", "fps", |r| format!("{:.1}", r.fps)),
+        ("die [g]", "die_g", |r| format!("{:.3}", r.die_g)),
+        ("system [g]", "system_g", |r| format!("{:.3}", r.system_g)),
+        ("op [g]", "operational_g", |r| {
+            format!("{:.3}", r.operational_g)
+        }),
+        ("total [g]", "total_g", |r| format!("{:.3}", r.total_g)),
+        ("op %", "operational_share_pct", |r| {
+            format!("{:.1}", r.operational_share_pct)
+        }),
+        ("saving %", "total_saving_pct", |r| {
+            format!("{:.1}", r.total_saving_pct)
+        }),
+        ("crossover [h]", "crossover_h", |r| {
+            opt(r.crossover_h, 0, "-")
+        }),
+    ];
+}
+
+impl RowType for LintRow {
+    const KIND: &'static str = "lint";
+    const COLUMNS: &'static [Column<Self>] = &[
+        ("family", "family", |r| r.family.clone()),
+        ("circuit", "circuit", |r| r.circuit.clone()),
+        ("gates", "gates", |r| r.gates.to_string()),
+        ("transistors", "transistors", |r| r.transistors.to_string()),
+        ("depth", "depth", |r| r.depth.to_string()),
+        ("err", "errors", |r| r.errors.to_string()),
+        ("warn", "warnings", |r| r.warnings.to_string()),
+        ("info", "infos", |r| r.infos.to_string()),
+        ("static bound", "static_bound", |r| {
+            r.static_bound.to_string()
+        }),
+        ("measured WCE", "measured_wce", |r| {
+            r.measured_wce.to_string()
+        }),
+        ("sound", "sound", |r| {
+            if r.sound { "yes" } else { "NO" }.to_string()
+        }),
+    ];
+}
+
+impl RowType for LintFindingRow {
+    const KIND: &'static str = "lint_finding";
+    const COLUMNS: &'static [Column<Self>] = &[
+        ("family", "family", |r| r.family.clone()),
+        ("circuit", "circuit", |r| r.circuit.clone()),
+        ("severity", "severity", |r| r.severity.clone()),
+        ("code", "code", |r| r.code.clone()),
+        ("node", "node", |r| r.node.clone()),
+        ("port", "port", |r| r.port.clone()),
+        ("message", "message", |r| r.message.clone()),
+    ];
 }
 
 impl Artifact {
+    /// The typed rows behind every method below.
+    fn rows(&self) -> &dyn Rows {
+        match self {
+            Artifact::Fig2(rows) => rows,
+            Artifact::Reduction(rows) => rows,
+            Artifact::Fig3(rows) => rows,
+            Artifact::Family(rows) => rows,
+            Artifact::Grid(rows) => rows,
+            Artifact::Metric(rows) => rows,
+            Artifact::Search(rows) => rows,
+            Artifact::Yield(rows) => rows,
+            Artifact::Deployment(rows) => rows,
+            Artifact::Lint(rows) => rows,
+            Artifact::LintFinding(rows) => rows,
+        }
+    }
+
     /// Stable kind tag (used in the JSON sink).
     pub fn kind(&self) -> &'static str {
-        match self {
-            Artifact::Fig2(_) => "fig2",
-            Artifact::Reduction(_) => "reduction",
-            Artifact::Fig3(_) => "fig3",
-            Artifact::Family(_) => "family",
-            Artifact::Grid(_) => "grid",
-            Artifact::Metric(_) => "metric",
-            Artifact::Search(_) => "search",
-            Artifact::Yield(_) => "yield",
-            Artifact::Deployment(_) => "deployment",
-            Artifact::Lint(_) => "lint",
-            Artifact::LintFinding(_) => "lint_finding",
-        }
+        self.rows().kind()
     }
 
     /// Number of typed rows.
     pub fn len(&self) -> usize {
-        match self {
-            Artifact::Fig2(r) => r.len(),
-            Artifact::Reduction(r) => r.len(),
-            Artifact::Fig3(r) => r.len(),
-            Artifact::Family(r) => r.len(),
-            Artifact::Grid(r) => r.len(),
-            Artifact::Metric(r) => r.len(),
-            Artifact::Search(r) => r.len(),
-            Artifact::Yield(r) => r.len(),
-            Artifact::Deployment(r) => r.len(),
-            Artifact::Lint(r) => r.len(),
-            Artifact::LintFinding(r) => r.len(),
-        }
+        self.rows().len()
     }
 
     /// Whether the artifact holds no rows.
@@ -246,361 +502,34 @@ impl Artifact {
 
     /// Column header of the rendered text table.
     pub fn header(&self) -> Vec<String> {
-        let own = |cols: &[&str]| cols.iter().map(std::string::ToString::to_string).collect();
-        match self {
-            Artifact::Fig2(_) => own(&["series", "MACs", "FPS", "carbon [gCO2]"]),
-            Artifact::Reduction(rows) => {
-                let mut cols = vec!["node".to_string(), "type".to_string()];
-                for class in reduction_classes(rows) {
-                    cols.push(format!("{:.1}%", class * 100.0));
-                }
-                cols
-            }
-            Artifact::Fig3(_) => own(&[
-                "model",
-                "node",
-                "exact",
-                "approx-only",
-                "ga-cdp",
-                "exact [gCO2]",
-            ]),
-            Artifact::Family(_) => own(&[
-                "library",
-                "units",
-                "chosen mult",
-                "FPS",
-                "carbon [g]",
-                "saving %",
-            ]),
-            Artifact::Grid(_) => {
-                own(&["grid", "CI [g/kWh]", "exact [g]", "ga-cdp [g]", "saving %"])
-            }
-            Artifact::Metric(_) => own(&[
-                "fitness",
-                "MACs",
-                "FPS",
-                "carbon [g]",
-                "energy [mJ]",
-                "saving %",
-            ]),
-            Artifact::Search(_) => own(&["search", "evals", "FPS", "carbon [g]", "saving %"]),
-            Artifact::Yield(_) => {
-                own(&["node", "yield model", "exact [g]", "ga-cdp [g]", "saving %"])
-            }
-            Artifact::Deployment(_) => own(&[
-                "grid",
-                "CI [g/kWh]",
-                "life [h]",
-                "MACs",
-                "mult",
-                "FPS",
-                "die [g]",
-                "system [g]",
-                "op [g]",
-                "total [g]",
-                "op %",
-                "saving %",
-                "crossover [h]",
-            ]),
-            Artifact::Lint(_) => own(&[
-                "family",
-                "circuit",
-                "gates",
-                "transistors",
-                "depth",
-                "err",
-                "warn",
-                "info",
-                "static bound",
-                "measured WCE",
-                "sound",
-            ]),
-            Artifact::LintFinding(_) => own(&[
-                "family", "circuit", "severity", "code", "node", "port", "message",
-            ]),
-        }
+        self.rows().table().header
     }
 
     /// Machine-readable column names for the CSV sink (snake_case).
     pub fn csv_header(&self) -> Vec<String> {
-        let own = |cols: &[&str]| cols.iter().map(std::string::ToString::to_string).collect();
-        match self {
-            Artifact::Fig2(_) => own(&["series", "macs", "fps", "carbon_g"]),
-            Artifact::Reduction(rows) => {
-                let mut cols = vec!["node".to_string(), "type".to_string()];
-                for class in reduction_classes(rows) {
-                    cols.push(format!("pct_at_{}", class));
-                }
-                cols
-            }
-            Artifact::Fig3(_) => own(&[
-                "model",
-                "node",
-                "exact",
-                "approx_only",
-                "ga_cdp",
-                "exact_carbon_g",
-            ]),
-            Artifact::Family(_) => own(&[
-                "library",
-                "units",
-                "multiplier",
-                "fps",
-                "carbon_g",
-                "saving_pct",
-            ]),
-            Artifact::Grid(_) => {
-                own(&["grid", "ci_g_per_kwh", "exact_g", "ga_cdp_g", "saving_pct"])
-            }
-            Artifact::Metric(_) => own(&[
-                "fitness",
-                "macs",
-                "fps",
-                "carbon_g",
-                "energy_mj",
-                "saving_pct",
-            ]),
-            Artifact::Search(_) => own(&["search", "evals", "fps", "carbon_g", "saving_pct"]),
-            Artifact::Yield(_) => {
-                own(&["node", "yield_model", "exact_g", "ga_cdp_g", "saving_pct"])
-            }
-            Artifact::Deployment(_) => own(&[
-                "grid",
-                "ci_g_per_kwh",
-                "lifetime_h",
-                "macs",
-                "multiplier",
-                "fps",
-                "die_g",
-                "system_g",
-                "operational_g",
-                "total_g",
-                "operational_share_pct",
-                "total_saving_pct",
-                "crossover_h",
-            ]),
-            Artifact::Lint(_) => own(&[
-                "family",
-                "circuit",
-                "gates",
-                "transistors",
-                "depth",
-                "errors",
-                "warnings",
-                "infos",
-                "static_bound",
-                "measured_wce",
-                "sound",
-            ]),
-            Artifact::LintFinding(_) => own(&[
-                "family", "circuit", "severity", "code", "node", "port", "message",
-            ]),
-        }
+        self.rows().table().csv_header
     }
 
     /// The rows as formatted display cells — the exact strings the
     /// text table and the CSV sink both emit.
     pub fn table_rows(&self) -> Vec<Vec<String>> {
-        match self {
-            Artifact::Fig2(rows) => rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.series.clone(),
-                        if r.macs > 0 {
-                            r.macs.to_string()
-                        } else {
-                            "-".to_string()
-                        },
-                        format!("{:.2}", r.fps),
-                        format!("{:.3}", r.carbon_g),
-                    ]
-                })
-                .collect(),
-            Artifact::Reduction(rows) => {
-                // Pivot to the paper's layout: per node, one `avg` and
-                // one `peak` line with the classes as columns.
-                let classes = reduction_classes(rows);
-                let mut out = Vec::new();
-                for chunk in rows.chunks(classes.len().max(1)) {
-                    let node = chunk[0].node.to_string();
-                    let avg: Vec<String> =
-                        chunk.iter().map(|r| format!("{:.2}", r.avg_pct)).collect();
-                    let peak: Vec<String> =
-                        chunk.iter().map(|r| format!("{:.2}", r.peak_pct)).collect();
-                    let mut avg_row = vec![node, "avg".to_string()];
-                    avg_row.extend(avg);
-                    let mut peak_row = vec![String::new(), "peak".to_string()];
-                    peak_row.extend(peak);
-                    out.push(avg_row);
-                    out.push(peak_row);
-                }
-                out
-            }
-            Artifact::Fig3(rows) => rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.model.clone(),
-                        r.node.to_string(),
-                        format!("{:.3}", r.exact),
-                        format!("{:.3}", r.approx_only),
-                        format!("{:.3}", r.ga_cdp),
-                        format!("{:.2}", r.exact_carbon_g),
-                    ]
-                })
-                .collect(),
-            Artifact::Family(rows) => rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.library.clone(),
-                        r.units.to_string(),
-                        r.multiplier.clone(),
-                        format!("{:.1}", r.fps),
-                        format!("{:.3}", r.carbon_g),
-                        format!("{:.1}", r.saving_pct),
-                    ]
-                })
-                .collect(),
-            Artifact::Grid(rows) => rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.grid.clone(),
-                        format!("{:.0}", r.ci_g_per_kwh),
-                        format!("{:.3}", r.exact_g),
-                        format!("{:.3}", r.ga_cdp_g),
-                        format!("{:.1}", r.saving_pct),
-                    ]
-                })
-                .collect(),
-            Artifact::Metric(rows) => rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.fitness.clone(),
-                        r.macs.to_string(),
-                        format!("{:.1}", r.fps),
-                        format!("{:.3}", r.carbon_g),
-                        format!("{:.2}", r.energy_mj),
-                        format!("{:.1}", r.saving_pct),
-                    ]
-                })
-                .collect(),
-            Artifact::Search(rows) => rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.search.clone(),
-                        r.evals.to_string(),
-                        opt(r.fps, |v| format!("{v:.1}"), "-"),
-                        opt(
-                            r.carbon_g,
-                            |v| format!("{v:.3}"),
-                            "(no feasible design found)",
-                        ),
-                        opt(r.saving_pct, |v| format!("{v:.1}"), "-"),
-                    ]
-                })
-                .collect(),
-            Artifact::Yield(rows) => rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.node.to_string(),
-                        r.yield_model.clone(),
-                        format!("{:.4}", r.exact_g),
-                        format!("{:.4}", r.ga_cdp_g),
-                        format!("{:.1}", r.saving_pct),
-                    ]
-                })
-                .collect(),
-            Artifact::Deployment(rows) => rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.grid.clone(),
-                        format!("{:.0}", r.ci_g_per_kwh),
-                        format!("{:.0}", r.lifetime_h),
-                        r.macs.to_string(),
-                        r.multiplier.clone(),
-                        format!("{:.1}", r.fps),
-                        format!("{:.3}", r.die_g),
-                        format!("{:.3}", r.system_g),
-                        format!("{:.3}", r.operational_g),
-                        format!("{:.3}", r.total_g),
-                        format!("{:.1}", r.operational_share_pct),
-                        format!("{:.1}", r.total_saving_pct),
-                        opt(r.crossover_h, |v| format!("{v:.0}"), "-"),
-                    ]
-                })
-                .collect(),
-            Artifact::Lint(rows) => rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.family.clone(),
-                        r.circuit.clone(),
-                        r.gates.to_string(),
-                        r.transistors.to_string(),
-                        r.depth.to_string(),
-                        r.errors.to_string(),
-                        r.warnings.to_string(),
-                        r.infos.to_string(),
-                        r.static_bound.to_string(),
-                        r.measured_wce.to_string(),
-                        if r.sound { "yes" } else { "NO" }.to_string(),
-                    ]
-                })
-                .collect(),
-            Artifact::LintFinding(rows) => rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.family.clone(),
-                        r.circuit.clone(),
-                        r.severity.clone(),
-                        r.code.clone(),
-                        r.node.clone(),
-                        r.port.clone(),
-                        r.message.clone(),
-                    ]
-                })
-                .collect(),
-        }
+        self.rows().table().rows
     }
 
     /// Renders the artifact as an aligned plain-text table.
     pub fn to_table(&self) -> String {
-        let header = self.header();
-        let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-        format_table(&header_refs, &self.table_rows())
+        let table = self.rows().table();
+        let header: Vec<&str> = table.header.iter().map(String::as_str).collect();
+        format_table(&header, &table.rows)
     }
 
     /// Renders the artifact as CSV, via the shared
     /// [`to_csv`](crate::report::to_csv) writer: machine headers
     /// ([`Artifact::csv_header`]) over the display cells.
     pub fn to_csv(&self) -> String {
-        let header = self.csv_header();
-        let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-        to_csv(&header_refs, &self.table_rows())
-    }
-
-    fn rows_json(&self) -> String {
-        match self {
-            Artifact::Fig2(r) => serde::json::to_string(r),
-            Artifact::Reduction(r) => serde::json::to_string(r),
-            Artifact::Fig3(r) => serde::json::to_string(r),
-            Artifact::Family(r) => serde::json::to_string(r),
-            Artifact::Grid(r) => serde::json::to_string(r),
-            Artifact::Metric(r) => serde::json::to_string(r),
-            Artifact::Search(r) => serde::json::to_string(r),
-            Artifact::Yield(r) => serde::json::to_string(r),
-            Artifact::Deployment(r) => serde::json::to_string(r),
-            Artifact::Lint(r) => serde::json::to_string(r),
-            Artifact::LintFinding(r) => serde::json::to_string(r),
-        }
+        let table = self.rows().table();
+        let header: Vec<&str> = table.csv_header.iter().map(String::as_str).collect();
+        to_csv(&header, &table.rows)
     }
 }
 
@@ -775,7 +704,7 @@ impl Report {
             out.push_str(&format!(
                 "{{\"kind\":{},\"rows\":{}}}",
                 serde::json::to_string(artifact.kind()),
-                artifact.rows_json()
+                artifact.rows().json()
             ));
         }
         out.push_str("],");
@@ -804,25 +733,126 @@ impl Report {
 mod tests {
     use super::*;
 
+    /// One artifact of every kind, with the edge cases the registry's
+    /// default runs never produce: a GA point's `macs: 0`, an
+    /// infeasible search arm, a deployment without a crossover, an
+    /// unsound lint row and a finding message that needs CSV quoting.
     fn sample_report() -> Report {
+        use carma_netlist::TechNode;
+        let reduction = [TechNode::N7, TechNode::N14]
+            .iter()
+            .flat_map(|&node| {
+                [0.005, 0.02].iter().map(move |&class| ReductionRow {
+                    node,
+                    accuracy_class: class,
+                    avg_pct: class * 400.0 + 1.0 / 3.0,
+                    peak_pct: class * 900.0 + 2.0 / 3.0,
+                })
+            })
+            .collect();
         Report {
             experiment: "fig2".to_string(),
             title: "Figure 2 — test".to_string(),
             scale: Scale::Quick,
-            artifacts: vec![Artifact::Fig2(vec![
-                Fig2Row {
-                    series: "exact".to_string(),
-                    macs: 64,
-                    fps: 12.5,
-                    carbon_g: 1.25,
-                },
-                Fig2Row {
-                    series: "ga-cdp@30".to_string(),
-                    macs: 0,
-                    fps: 31.0,
-                    carbon_g: 0.75,
-                },
-            ])],
+            artifacts: vec![
+                Artifact::Fig2(vec![
+                    Fig2Row {
+                        series: "exact".to_string(),
+                        macs: 64,
+                        fps: 12.5,
+                        carbon_g: 1.25,
+                    },
+                    Fig2Row {
+                        series: "ga-cdp@30".to_string(),
+                        macs: 0,
+                        fps: 31.0,
+                        carbon_g: 0.75,
+                    },
+                ]),
+                Artifact::Reduction(reduction),
+                Artifact::Fig3(vec![Fig3Row {
+                    model: "vgg16".to_string(),
+                    node: TechNode::N28,
+                    exact: 1.0,
+                    approx_only: 0.8765,
+                    ga_cdp: 0.4321,
+                    exact_carbon_g: 3.25678,
+                }]),
+                Artifact::Family(vec![FamilyRow {
+                    library: "classic".to_string(),
+                    units: 19,
+                    multiplier: "tcc8_8".to_string(),
+                    fps: 33.35,
+                    carbon_g: 0.98765,
+                    saving_pct: 41.25,
+                }]),
+                Artifact::Grid(vec![GridRow {
+                    grid: "coal".to_string(),
+                    ci_g_per_kwh: 820.5,
+                    exact_g: 4.4444,
+                    ga_cdp_g: 2.2222,
+                    saving_pct: 50.0,
+                }]),
+                Artifact::Metric(vec![MetricRow {
+                    fitness: "EDP".to_string(),
+                    macs: 1024,
+                    fps: 88.88,
+                    carbon_g: 1.5,
+                    energy_mj: 0.125,
+                    saving_pct: -12.34,
+                }]),
+                Artifact::Search(vec![SearchRow {
+                    search: "random".to_string(),
+                    evals: 84,
+                    fps: None,
+                    carbon_g: None,
+                    saving_pct: None,
+                }]),
+                Artifact::Yield(vec![YieldRow {
+                    node: TechNode::N14,
+                    yield_model: "neg-binomial(3)".to_string(),
+                    exact_g: 1.23456,
+                    ga_cdp_g: 0.65432,
+                    saving_pct: 47.0,
+                }]),
+                Artifact::Deployment(vec![DeploymentRow {
+                    grid: "renewable".to_string(),
+                    ci_g_per_kwh: 563.0,
+                    lifetime_h: 8760.0,
+                    macs: 256,
+                    multiplier: "trunc8_1_1".to_string(),
+                    fps: 31.25,
+                    die_g: 1.0 / 3.0,
+                    system_g: 12.5,
+                    operational_g: 40.125,
+                    total_g: 52.958,
+                    operational_share_pct: 75.77,
+                    total_saving_pct: 9.95,
+                    crossover_h: None,
+                }]),
+                Artifact::Lint(vec![LintRow {
+                    family: "ladder".to_string(),
+                    circuit: "trunc8_2_2".to_string(),
+                    gates: 412,
+                    transistors: 2_468,
+                    depth: 23,
+                    errors: 0,
+                    warnings: 2,
+                    infos: 1,
+                    static_bound: 7,
+                    measured_wce: 9,
+                    sound: false,
+                }]),
+                Artifact::LintFinding(vec![LintFindingRow {
+                    family: "fixture".to_string(),
+                    circuit: "corrupted".to_string(),
+                    severity: "error".to_string(),
+                    code: "floating-input".to_string(),
+                    node: "n42".to_string(),
+                    port: "-".to_string(),
+                    message: "input \"a9\" drives nothing, so the cone is dead".to_string(),
+                }]),
+            ],
             notes: vec!["a note".to_string()],
             provenance: None,
         }
@@ -879,6 +909,145 @@ mod tests {
         let rows = a.table_rows();
         assert_eq!(rows[0][2], "-");
         assert_eq!(rows[0][3], "(no feasible design found)");
+    }
+
+    #[test]
+    fn every_kind_renders_its_pinned_bytes() {
+        // Every sink's exact bytes: a drifted header, cell format,
+        // reduction pivot or JSON row fails here.
+        let report = sample_report();
+        assert_eq!(
+            report.render_text(),
+            r#"=== CARMA experiment: Figure 2 — test (scale: Quick) ===
+reproduces: Panteleaki et al., "Leveraging Approximate Computing for Carbon-Aware DNN Accelerators", DATE 2025
+
+   series  MACs    FPS  carbon [gCO2]
+-------------------------------------
+    exact    64  12.50          1.250
+ga-cdp@30     -  31.00          0.750
+
+node  type  0.5%   2.0%
+-----------------------
+ 7nm   avg  2.33   8.33
+      peak  5.17  18.67
+14nm   avg  2.33   8.33
+      peak  5.17  18.67
+
+model  node  exact  approx-only  ga-cdp  exact [gCO2]
+-----------------------------------------------------
+vgg16  28nm  1.000        0.876   0.432          3.26
+
+library  units  chosen mult   FPS  carbon [g]  saving %
+-------------------------------------------------------
+classic     19       tcc8_8  33.4       0.988      41.2
+
+grid  CI [g/kWh]  exact [g]  ga-cdp [g]  saving %
+-------------------------------------------------
+coal         820      4.444       2.222      50.0
+
+fitness  MACs   FPS  carbon [g]  energy [mJ]  saving %
+------------------------------------------------------
+    EDP  1024  88.9       1.500         0.12     -12.3
+
+search  evals  FPS                  carbon [g]  saving %
+--------------------------------------------------------
+random     84    -  (no feasible design found)         -
+
+node      yield model  exact [g]  ga-cdp [g]  saving %
+------------------------------------------------------
+14nm  neg-binomial(3)     1.2346      0.6543      47.0
+
+     grid  CI [g/kWh]  life [h]  MACs        mult   FPS  die [g]  system [g]  op [g]  total [g]  op %  saving %  crossover [h]
+------------------------------------------------------------------------------------------------------------------------------
+renewable         563      8760   256  trunc8_1_1  31.2    0.333      12.500  40.125     52.958  75.8       9.9              -
+
+family     circuit  gates  transistors  depth  err  warn  info  static bound  measured WCE  sound
+-------------------------------------------------------------------------------------------------
+ladder  trunc8_2_2    412         2468     23    0     2     1             7             9     NO
+
+ family    circuit  severity            code  node  port                                         message
+--------------------------------------------------------------------------------------------------------
+fixture  corrupted     error  floating-input   n42     -  input "a9" drives nothing, so the cone is dead
+
+a note
+"#
+        );
+        assert_eq!(
+            report.to_csv(),
+            r#"series,macs,fps,carbon_g
+exact,64,12.50,1.250
+ga-cdp@30,-,31.00,0.750
+
+node,type,pct_at_0.005,pct_at_0.02
+7nm,avg,2.33,8.33
+,peak,5.17,18.67
+14nm,avg,2.33,8.33
+,peak,5.17,18.67
+
+model,node,exact,approx_only,ga_cdp,exact_carbon_g
+vgg16,28nm,1.000,0.876,0.432,3.26
+
+library,units,multiplier,fps,carbon_g,saving_pct
+classic,19,tcc8_8,33.4,0.988,41.2
+
+grid,ci_g_per_kwh,exact_g,ga_cdp_g,saving_pct
+coal,820,4.444,2.222,50.0
+
+fitness,macs,fps,carbon_g,energy_mj,saving_pct
+EDP,1024,88.9,1.500,0.12,-12.3
+
+search,evals,fps,carbon_g,saving_pct
+random,84,-,(no feasible design found),-
+
+node,yield_model,exact_g,ga_cdp_g,saving_pct
+14nm,neg-binomial(3),1.2346,0.6543,47.0
+
+grid,ci_g_per_kwh,lifetime_h,macs,multiplier,fps,die_g,system_g,operational_g,total_g,operational_share_pct,total_saving_pct,crossover_h
+renewable,563,8760,256,trunc8_1_1,31.2,0.333,12.500,40.125,52.958,75.8,9.9,-
+
+family,circuit,gates,transistors,depth,errors,warnings,infos,static_bound,measured_wce,sound
+ladder,trunc8_2_2,412,2468,23,0,2,1,7,9,NO
+
+family,circuit,severity,code,node,port,message
+fixture,corrupted,error,floating-input,n42,-,"input ""a9"" drives nothing, so the cone is dead"
+"#
+        );
+        assert_eq!(
+            report.to_json(),
+            concat!(
+                r#"{"experiment":"fig2","title":"Figure 2 — test","scale":"quick""#,
+                r#","artifacts":[{"kind":"fig2","rows":[{"series":"exact","macs":64,"fps":12.5"#,
+                r#","carbon_g":1.25},{"series":"ga-cdp@30","macs":0,"fps":31,"carbon_g":0.75}]}"#,
+                r#",{"kind":"reduction","rows":[{"node":"7nm","accuracy_class":0.005"#,
+                r#","avg_pct":2.3333333333333335,"peak_pct":5.166666666666667},{"node":"7nm""#,
+                r#","accuracy_class":0.02,"avg_pct":8.333333333333334"#,
+                r#","peak_pct":18.666666666666668},{"node":"14nm","accuracy_class":0.005"#,
+                r#","avg_pct":2.3333333333333335,"peak_pct":5.166666666666667},{"node":"14nm""#,
+                r#","accuracy_class":0.02,"avg_pct":8.333333333333334"#,
+                r#","peak_pct":18.666666666666668}]},{"kind":"fig3","rows":[{"model":"vgg16""#,
+                r#","node":"28nm","exact":1,"approx_only":0.8765,"ga_cdp":0.4321"#,
+                r#","exact_carbon_g":3.25678}]},{"kind":"family","rows":[{"library":"classic""#,
+                r#","units":19,"multiplier":"tcc8_8","fps":33.35,"carbon_g":0.98765"#,
+                r#","saving_pct":41.25}]},{"kind":"grid","rows":[{"grid":"coal""#,
+                r#","ci_g_per_kwh":820.5,"exact_g":4.4444,"ga_cdp_g":2.2222,"saving_pct":50}]}"#,
+                r#",{"kind":"metric","rows":[{"fitness":"EDP","macs":1024,"fps":88.88"#,
+                r#","carbon_g":1.5,"energy_mj":0.125,"saving_pct":-12.34}]},{"kind":"search""#,
+                r#","rows":[{"search":"random","evals":84,"fps":null,"carbon_g":null"#,
+                r#","saving_pct":null}]},{"kind":"yield","rows":[{"node":"14nm""#,
+                r#","yield_model":"neg-binomial(3)","exact_g":1.23456,"ga_cdp_g":0.65432"#,
+                r#","saving_pct":47}]},{"kind":"deployment","rows":[{"grid":"renewable""#,
+                r#","ci_g_per_kwh":563,"lifetime_h":8760,"macs":256,"multiplier":"trunc8_1_1""#,
+                r#","fps":31.25,"die_g":0.3333333333333333,"system_g":12.5,"operational_g":40.125"#,
+                r#","total_g":52.958,"operational_share_pct":75.77,"total_saving_pct":9.95"#,
+                r#","crossover_h":null}]},{"kind":"lint","rows":[{"family":"ladder""#,
+                r#","circuit":"trunc8_2_2","gates":412,"transistors":2468,"depth":23,"errors":0"#,
+                r#","warnings":2,"infos":1,"static_bound":7,"measured_wce":9,"sound":false}]}"#,
+                r#",{"kind":"lint_finding","rows":[{"family":"fixture","circuit":"corrupted""#,
+                r#","severity":"error","code":"floating-input","node":"n42","port":"-""#,
+                r#","message":"input \"a9\" drives nothing, so the cone is dead"}]}]"#,
+                r#","notes":["a note"]}"#,
+            )
+        );
     }
 
     #[test]

@@ -271,6 +271,9 @@ pub enum ScenarioError {
     Constraint(ConstraintError),
     /// An accuracy class outside `[0, 1]`.
     ClassOutOfRange(f64),
+    /// Accuracy classes not strictly ascending (the last one is the
+    /// GA's binding budget, and reports pivot on distinct classes).
+    ClassesNotAscending(Vec<f64>),
     /// A GA hyper-parameter combination the engine would reject.
     InvalidGa(String),
     /// `library_depth` outside `1..=7` (the 8-bit ladder's range).
@@ -383,6 +386,9 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::Constraint(e) => write!(f, "invalid constraints: {e}"),
             ScenarioError::ClassOutOfRange(c) => {
                 write!(f, "accuracy class {c} outside [0, 1]")
+            }
+            ScenarioError::ClassesNotAscending(classes) => {
+                write!(f, "accuracy classes {classes:?} must be strictly ascending")
             }
             ScenarioError::InvalidGa(msg) => write!(f, "invalid GA config: {msg}"),
             ScenarioError::InvalidDepth(d) => {

@@ -19,13 +19,12 @@ use super::{Scale, ScenarioError};
 use crate::context::{CarmaContext, DesignEval};
 use crate::experiments::{fig2_scatter_with, fig3_with, reduction_table_with, Fig2Row};
 use crate::flow::{
-    best_in_sweep, exact_sweep, ga_cdp, ga_cdp_with_metric, ga_cdp_with_objective,
-    smallest_exact_meeting, FitnessMetric,
+    best_in_sweep, exact_sweep, ga_cdp, ga_cdp_with_objective, smallest_exact_meeting, Objective,
 };
 use crate::memo::MemoLayer;
 use crate::space::DesignPoint;
 use carma_memo::MemoStats;
-use carma_netlist::TechNode;
+use carma_netlist::{Netlist, TechNode};
 
 /// How an experiment's runner wants its evaluation context(s).
 #[derive(Clone, Copy)]
@@ -89,12 +88,6 @@ impl RunEnv {
         }
     }
 
-    /// The context of an explicit library `family` on the scenario's
-    /// primary node (the `ablation_family` arms).
-    pub fn context_with_family(&self, r: &ResolvedScenario, family: Family) -> CarmaContext {
-        self.context_from(r, &LibrarySource::Builtin(family))
-    }
-
     /// The context of an explicit library `source` on the scenario's
     /// primary node.
     pub fn context_from(&self, r: &ResolvedScenario, source: &LibrarySource) -> CarmaContext {
@@ -110,18 +103,6 @@ impl RunEnv {
             Some(layer) => carma_exec::par_map(&r.nodes, |&node| layer.context(r, node)),
             None => r.node_contexts(),
         }
-    }
-
-    /// The scenario's multiplier library of `family`, read through the
-    /// memo's library stage when one is configured (the `lint` runner
-    /// shares characterization with every other experiment that built
-    /// the same family).
-    pub fn library_for(
-        &self,
-        r: &ResolvedScenario,
-        family: Family,
-    ) -> std::sync::Arc<MultiplierLibrary> {
-        self.library_from(r, &LibrarySource::Builtin(family))
     }
 
     /// The scenario's multiplier library of any `source` — builtin
@@ -524,13 +505,13 @@ fn run_ablation_metric(r: &ResolvedScenario, ctx: &CarmaContext) -> Report {
     let baseline = smallest_exact_meeting(ctx, model, r.constraints.min_fps);
 
     let mut rows = Vec::new();
-    for (name, metric) in [
-        ("service-CDP", FitnessMetric::ServiceCdp),
-        ("raw CDP", FitnessMetric::RawCdp),
-        ("carbon only", FitnessMetric::Carbon),
-        ("EDP", FitnessMetric::Edp),
+    for (name, objective) in [
+        ("service-CDP", Objective::Cdp),
+        ("raw CDP", Objective::RawCdp),
+        ("carbon only", Objective::Carbon),
+        ("EDP", Objective::Edp),
     ] {
-        let best = ga_cdp_with_metric(ctx, model, r.constraints, r.ga, metric);
+        let best = ga_cdp_with_objective(ctx, model, r.constraints, r.ga, objective, &r.deployment);
         rows.push(MetricRow {
             fitness: name.to_string(),
             macs: best.accelerator.macs(),
@@ -726,9 +707,31 @@ fn lint_finding_rows(family: &str, circuit: &str, lr: &LintReport) -> Vec<LintFi
         .collect()
 }
 
-/// Longest input→output path of the linted netlist, in gate levels.
-fn lint_depth(lr: &LintReport) -> usize {
-    lr.output_stats.iter().map(|s| s.depth).max().unwrap_or(0)
+/// One linted circuit's summary row: the netlist's structure and the
+/// report's diagnostic counts, next to the static error bound and the
+/// measured worst-case error it must dominate.
+fn lint_row(
+    family: &str,
+    circuit: &str,
+    nl: &Netlist,
+    lr: &LintReport,
+    static_bound: u64,
+    measured_wce: u64,
+) -> LintRow {
+    LintRow {
+        family: family.to_string(),
+        circuit: circuit.to_string(),
+        gates: nl.gate_count(),
+        transistors: nl.transistor_count(),
+        // Longest input→output path, in gate levels.
+        depth: lr.output_stats.iter().map(|s| s.depth).max().unwrap_or(0),
+        errors: lr.count(Severity::Error),
+        warnings: lr.count(Severity::Warning),
+        infos: lr.count(Severity::Info),
+        static_bound,
+        measured_wce,
+        sound: static_bound >= measured_wce,
+    }
 }
 
 fn run_lint(r: &ResolvedScenario, env: &RunEnv) -> Report {
@@ -759,19 +762,14 @@ fn run_lint(r: &ResolvedScenario, env: &RunEnv) -> Report {
             let lr = lint(nl, &opts);
             let bound = static_error_bound(nl, exact.netlist())
                 .expect("library entries follow the multiplier port convention");
-            rows.push(LintRow {
-                family: source.as_str().to_string(),
-                circuit: entry.name.clone(),
-                gates: nl.gate_count(),
-                transistors: nl.transistor_count(),
-                depth: lint_depth(&lr),
-                errors: lr.count(Severity::Error),
-                warnings: lr.count(Severity::Warning),
-                infos: lr.count(Severity::Info),
-                static_bound: bound.worst_abs,
-                measured_wce: entry.profile.wce,
-                sound: bound.worst_abs >= entry.profile.wce,
-            });
+            rows.push(lint_row(
+                source.as_str(),
+                &entry.name,
+                nl,
+                &lr,
+                bound.worst_abs,
+                entry.profile.wce,
+            ));
             findings.extend(lint_finding_rows(source.as_str(), &entry.name, &lr));
         }
     }
@@ -815,20 +813,8 @@ pub fn fixture_lint_report(scale: Scale) -> Report {
         multiplier_width: None,
     };
     let lr = lint(&nl, &opts);
-    let rows = vec![LintRow {
-        family: "fixture".to_string(),
-        circuit: "corrupted".to_string(),
-        gates: nl.gate_count(),
-        transistors: nl.transistor_count(),
-        depth: lint_depth(&lr),
-        errors: lr.count(Severity::Error),
-        warnings: lr.count(Severity::Warning),
-        infos: lr.count(Severity::Info),
-        // Not a multiplier: no error bound is defined for the fixture.
-        static_bound: 0,
-        measured_wce: 0,
-        sound: true,
-    }];
+    // Not a multiplier: no error bound is defined for the fixture.
+    let rows = vec![lint_row("fixture", "corrupted", &nl, &lr, 0, 0)];
     let findings = lint_finding_rows("fixture", "corrupted", &lr);
     Report {
         experiment: "lint".to_string(),

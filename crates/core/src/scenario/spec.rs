@@ -69,8 +69,8 @@ pub struct ScenarioSpec {
     /// primary `node` if given), else the primary node.
     #[serde(default)]
     pub nodes: Vec<String>,
-    /// Accuracy-drop classes, ascending; the last is the binding GA
-    /// budget. Empty = the paper's `[0.005, 0.010, 0.020]`.
+    /// Accuracy-drop classes, strictly ascending; the last is the
+    /// binding GA budget. Empty = the paper's `[0.005, 0.010, 0.020]`.
     #[serde(default)]
     pub accuracy_classes: Vec<f64>,
     /// FPS thresholds; the first is the binding floor. Empty = the
@@ -592,6 +592,11 @@ impl ScenarioSpec {
                     return Err(ScenarioError::ClassOutOfRange(c));
                 }
             }
+            if self.accuracy_classes.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(ScenarioError::ClassesNotAscending(
+                    self.accuracy_classes.clone(),
+                ));
+            }
             self.accuracy_classes.clone()
         };
         let fps_thresholds = if self.fps_thresholds.is_empty() {
@@ -850,7 +855,7 @@ pub struct ResolvedScenario {
     pub node: TechNode,
     /// Node sweep (equals `[node]` for single-node experiments).
     pub nodes: Vec<TechNode>,
-    /// Accuracy-drop classes (ascending; last is binding).
+    /// Accuracy-drop classes (strictly ascending; last is binding).
     pub accuracy_classes: Vec<f64>,
     /// FPS thresholds (first is binding).
     pub fps_thresholds: Vec<f64>,

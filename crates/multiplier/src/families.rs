@@ -2,9 +2,6 @@
 //! literature, built on the same partial-product/reduction framework
 //! as [`crate::exact`]:
 //!
-//! * [`signed_baugh_wooley`] — exact two's-complement multiplier
-//!   (Baugh–Wooley), for flows that keep weights in two's complement
-//!   instead of CARMA's default sign-magnitude datapath;
 //! * [`broken_array`] — the Broken-Array Multiplier (BAM): partial
 //!   products below a vertical break line are omitted outright;
 //! * [`truncated_with_correction`] — fixed-width truncation with a
@@ -15,68 +12,9 @@
 //! whole downstream flow — error profiling, LUT compilation, library
 //! membership, carbon accounting — applies unchanged.
 
-use carma_netlist::{BinOp, Netlist, NodeId, UnOp};
+use carma_netlist::{BinOp, Netlist, NodeId};
 
 use crate::exact::{reduce_columns, ripple_final_adder, MultiplierCircuit, ReductionKind};
-
-/// Generates an exact signed (two's-complement) `width`×`width`
-/// multiplier using the Baugh–Wooley scheme.
-///
-/// The product occupies `2·width` output bits, two's complement.
-///
-/// # Panics
-///
-/// Panics if `width` is outside `2..=16`.
-///
-/// # Example
-///
-/// ```
-/// use carma_multiplier::families::signed_baugh_wooley;
-/// use carma_multiplier::exact::ReductionKind;
-///
-/// let m = signed_baugh_wooley(8, ReductionKind::Dadda);
-/// // −3 × 5 = −15 in 16-bit two's complement.
-/// let a = (-3i8 as u8) as u32;
-/// let p = m.multiply_via_netlist(a, 5) as u16 as i16;
-/// assert_eq!(p, -15);
-/// ```
-pub fn signed_baugh_wooley(width: u32, kind: ReductionKind) -> MultiplierCircuit {
-    assert!(
-        (2..=16).contains(&width),
-        "width must be in 2..=16, got {width}"
-    );
-    let n = width as usize;
-    let mut nl = Netlist::new(format!("bw{width}x{width}_{kind}"));
-    let a: Vec<NodeId> = (0..n).map(|i| nl.input(format!("a{i}"))).collect();
-    let b: Vec<NodeId> = (0..n).map(|j| nl.input(format!("b{j}"))).collect();
-
-    let mut columns: Vec<Vec<NodeId>> = vec![Vec::new(); 2 * n];
-    for i in 0..n {
-        for j in 0..n {
-            let and = nl.binary(BinOp::And, a[i], b[j]);
-            // Sign-row/column partial products are complemented.
-            let pp = if (i == n - 1) ^ (j == n - 1) {
-                nl.unary(UnOp::Not, and)
-            } else {
-                and
-            };
-            columns[i + j].push(pp);
-        }
-    }
-    // Baugh–Wooley correction constants: +1 at column n and at column
-    // 2n−1.
-    let one_a = nl.constant(true);
-    columns[n].push(one_a);
-    let one_b = nl.constant(true);
-    columns[2 * n - 1].push(one_b);
-
-    reduce_columns(&mut nl, &mut columns, kind);
-    let product = ripple_final_adder(&mut nl, &columns);
-    for (k, bit) in product.into_iter().enumerate() {
-        nl.output(format!("p{k}"), bit);
-    }
-    MultiplierCircuit::from_netlist(nl, width)
-}
 
 /// Generates a Broken-Array Multiplier: an unsigned multiplier whose
 /// partial products in the `omit_columns` least-significant columns
@@ -186,39 +124,6 @@ pub fn truncated_with_correction(
 mod tests {
     use super::*;
     use crate::error::ErrorProfile;
-    use proptest::prelude::*;
-
-    #[test]
-    fn baugh_wooley_matches_signed_multiplication() {
-        let m = signed_baugh_wooley(4, ReductionKind::Dadda);
-        for a in -8i32..8 {
-            for b in -8i32..8 {
-                let ua = (a as u32) & 0xF;
-                let ub = (b as u32) & 0xF;
-                let p = m.multiply_via_netlist(ua, ub);
-                // Interpret the low 8 bits as two's complement.
-                let signed = ((p as u32 as i32) << 24) >> 24;
-                assert_eq!(signed, a * b, "{a}×{b}");
-            }
-        }
-    }
-
-    #[test]
-    fn baugh_wooley_8bit_spot_checks() {
-        let m = signed_baugh_wooley(8, ReductionKind::Wallace);
-        for (a, b) in [
-            (-128i16, 127i16),
-            (-1, -1),
-            (100, -3),
-            (0, -128),
-            (-128, -128),
-        ] {
-            let ua = (a as i8 as u8) as u32;
-            let ub = (b as i8 as u8) as u32;
-            let p = m.multiply_via_netlist(ua, ub) as u16 as i16;
-            assert_eq!(p as i32, (a as i32 * b as i32) as i16 as i32, "{a}×{b}");
-        }
-    }
 
     #[test]
     fn bam_zero_break_is_exact() {
@@ -286,24 +191,5 @@ mod tests {
     #[should_panic(expected = "cannot omit all")]
     fn bam_full_omission_rejected() {
         let _ = broken_array(4, 8, ReductionKind::Array);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn baugh_wooley_random_8bit(a in -128i32..128, b in -128i32..128) {
-            let m = bw8();
-            let ua = (a as i8 as u8) as u32;
-            let ub = (b as i8 as u8) as u32;
-            let p = m.multiply_via_netlist(ua, ub) as u16 as i16;
-            prop_assert_eq!(i32::from(p), a * b);
-        }
-    }
-
-    fn bw8() -> &'static MultiplierCircuit {
-        use std::sync::OnceLock;
-        static M: OnceLock<MultiplierCircuit> = OnceLock::new();
-        M.get_or_init(|| signed_baugh_wooley(8, ReductionKind::Dadda))
     }
 }

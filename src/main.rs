@@ -11,7 +11,9 @@
 
 use std::process::ExitCode;
 
-use carma_core::scenario::{banner_text, Artifact, ExperimentRegistry, Scale, ScenarioSpec};
+use carma_core::scenario::{
+    banner_text, Artifact, ExperimentRegistry, Report, Scale, ScenarioSpec,
+};
 
 const USAGE: &str = "\
 carma — carbon-aware DNN accelerator experiments (Panteleaki et al., DATE 2025)
@@ -363,24 +365,8 @@ fn lint(args: &[String]) -> ExitCode {
         }
     };
 
-    let payload = match out {
-        OutFormat::Text => format!("{}{}", report.tables_text(), report.notes_text()),
-        OutFormat::Json => {
-            let mut json = report.to_json();
-            json.push('\n');
-            json
-        }
-        OutFormat::Csv => report.to_csv(),
-    };
-    match output {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, payload) {
-                eprintln!("error: cannot write `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("(written to {path})");
-        }
-        None => print!("{payload}"),
+    if let Err(code) = emit(&report, out, output.as_deref()) {
+        return code;
     }
 
     let errors: usize = report
@@ -703,7 +689,16 @@ fn run(args: &[String]) -> ExitCode {
         }
     }
 
-    let payload = match parsed.out {
+    match emit(&report, parsed.out, parsed.output.as_deref()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
+    }
+}
+
+/// Prints `report` in `out` format (tables and notes; the banner is
+/// the caller's) to stdout, or writes it to `output`.
+fn emit(report: &Report, out: OutFormat, output: Option<&str>) -> Result<(), ExitCode> {
+    let payload = match out {
         OutFormat::Text => format!("{}{}", report.tables_text(), report.notes_text()),
         OutFormat::Json => {
             let mut json = report.to_json();
@@ -712,15 +707,15 @@ fn run(args: &[String]) -> ExitCode {
         }
         OutFormat::Csv => report.to_csv(),
     };
-    match parsed.output {
+    match output {
         Some(path) => {
-            if let Err(e) = std::fs::write(&path, payload) {
+            if let Err(e) = std::fs::write(path, payload) {
                 eprintln!("error: cannot write `{path}`: {e}");
-                return ExitCode::FAILURE;
+                return Err(ExitCode::FAILURE);
             }
             eprintln!("(written to {path})");
         }
         None => print!("{payload}"),
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

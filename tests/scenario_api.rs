@@ -171,6 +171,21 @@ fn resolve_rejects_bad_inputs() {
         Err(ScenarioError::ClassOutOfRange(_))
     ));
 
+    // A repeated class would print one column and every node's block
+    // twice; a descending list would bind the GA to the tightest class.
+    let mut repeated_classes = ScenarioSpec::named("table1").with_nodes(["7nm", "14nm"]);
+    repeated_classes.accuracy_classes = vec![0.01, 0.01];
+    assert_eq!(
+        repeated_classes.resolve(reg, None, None),
+        Err(ScenarioError::ClassesNotAscending(vec![0.01, 0.01]))
+    );
+    let mut descending_classes = ScenarioSpec::named("fig2");
+    descending_classes.accuracy_classes = vec![0.02, 0.005];
+    assert_eq!(
+        descending_classes.resolve(reg, None, None),
+        Err(ScenarioError::ClassesNotAscending(vec![0.02, 0.005]))
+    );
+
     let mut bad_family = ScenarioSpec::named("fig2");
     bad_family.family = "booth".to_string();
     assert!(matches!(
