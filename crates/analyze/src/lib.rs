@@ -9,7 +9,7 @@
 //! the upcoming EDIF/Verilog importer will route ingested designs
 //! through (see ROADMAP).
 //!
-//! - [`lint`] — typed diagnostics ([`Diagnostic`]) with
+//! - [`lint()`] — typed diagnostics ([`Diagnostic`]) with
 //!   profile-dependent severities: dead gates (agreeing exactly with
 //!   [`Netlist::sweep`]'s removal set), floating inputs,
 //!   constant-foldable cones, structural duplicates, port-convention

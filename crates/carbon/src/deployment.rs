@@ -5,8 +5,8 @@
 //! actually happens depends on where and how long the module is
 //! deployed. A [`DeploymentProfile`] captures that context (grid mix
 //! at the deployment site, lifetime, duty cycle, packaging, external
-//! DRAM) and composes the existing [`SystemCarbon`] and
-//! [`OperationalCarbon`](crate::OperationalCarbon) models into one
+//! DRAM) and composes the existing [`SystemCarbon`](crate::SystemCarbon) and
+//! [`OperationalCarbon`] models into one
 //! [`FootprintBreakdown`]: die embodied + system embodied +
 //! operational = total.
 //!

@@ -213,7 +213,7 @@ pub fn library_source_canon(r: &ResolvedScenario, source: &LibrarySource) -> Str
 
 /// Canonical JSON of the **context** stage key: the library it wraps
 /// (by fingerprint) and the full accuracy-evaluator calibration —
-/// exactly what [`ContextSeed::characterize`] reads. Model- and
+/// exactly what `ContextSeed::characterize` reads. Model- and
 /// node-independent by construction: one context seed serves every
 /// DNN on every node (the node shapes cells instead).
 pub fn context_canon(library_key: &str, evaluator: &EvaluatorConfig) -> String {
@@ -757,7 +757,7 @@ mod tests {
             assert_eq!(a.name, b.name);
             assert_eq!(a.transistors(), b.transistors());
             assert_eq!(a.profile, b.profile);
-            assert_eq!(a.genome, b.genome);
+            assert_eq!(a.recipe, b.recipe);
         }
     }
 

@@ -35,10 +35,7 @@ pub use spec::{
 
 use carma_dnn::EvaluatorConfig;
 use carma_ga::GaConfig;
-use carma_multiplier::MultiplierLibrary;
-use carma_netlist::TechNode;
 
-use crate::context::CarmaContext;
 use crate::flow::ConstraintError;
 
 /// Experiment scale: the reduced "quick" configuration (minutes on a
@@ -62,18 +59,6 @@ impl Scale {
     /// anything but `full` means quick).
     pub fn from_env() -> Self {
         resolve_scale(None, None)
-    }
-
-    /// Builds a context at this scale for `node`.
-    pub fn context(self, node: TechNode) -> CarmaContext {
-        match self {
-            Scale::Quick => CarmaContext::with_parts(
-                node,
-                MultiplierLibrary::truncation_ladder(8, self.library_depth()),
-                self.evaluator(),
-            ),
-            Scale::Full => CarmaContext::standard(node),
-        }
     }
 
     /// The behavioural accuracy-evaluation budget at this scale.

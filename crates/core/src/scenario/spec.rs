@@ -976,8 +976,8 @@ impl ResolvedScenario {
         }
     }
 
-    /// Builds the evaluation context for `node`. With no family /
-    /// depth / sample overrides this is exactly [`Scale::context`].
+    /// Builds the evaluation context for `node` from this scenario's
+    /// library and accuracy evaluator.
     pub fn context_for(&self, node: TechNode) -> CarmaContext {
         CarmaContext::with_parts(node, self.library(), self.evaluator())
     }

@@ -4,7 +4,7 @@
 //! [`Multiplier`] — the mechanism by which approximate units change
 //! network behaviour, exactly as in ApproxTrain's LUT-based simulation.
 //! Before a pass the multiplier's products are tabulated once into a
-//! [`ProductTable`]; the kernels then read products from it and never
+//! `ProductTable`; the kernels then read products from it and never
 //! call the multiplier per MAC.
 //!
 //! Quantization scheme: unsigned 8-bit activations (ReLU networks are

@@ -18,8 +18,7 @@
 //!   `(index, result)` pairs;
 //! * randomized work derives a private RNG seed from
 //!   [`derive_seed`]`(master, index)` — a splitmix64 mix keyed by the
-//!   item index, not by which worker ran it or when
-//!   ([`par_map_seeded`]).
+//!   item index, not by which worker ran it or when.
 //!
 //! Callers therefore parallelize freely without forking experiment
 //! outputs: `CARMA_THREADS=1` is the reference serial path and every
@@ -182,21 +181,6 @@ where
     dispatch(items.len(), |i| f(i, &items[i]))
 }
 
-/// [`par_map`] for randomized per-item work: the closure receives a
-/// private seed, [`derive_seed`]`(master, index)`, from which it
-/// should build its own RNG. The resulting stream per item is fixed by
-/// `(master, index)` alone, so outputs are reproducible at any thread
-/// count — unlike threading one shared RNG through the loop, which
-/// would entangle the streams with the schedule.
-pub fn par_map_seeded<T, R, F>(items: &[T], master: u64, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T, u64) -> R + Sync,
-{
-    dispatch(items.len(), |i| f(&items[i], derive_seed(master, i as u64)))
-}
-
 /// Computes `f(0), f(1), …, f(n-1)` in parallel, preserving index
 /// order — `par_map` over a virtual `0..n` slice.
 pub fn par_gen<R, F>(n: usize, f: F) -> Vec<R>
@@ -320,9 +304,9 @@ mod tests {
 
     #[test]
     fn seeds_depend_on_index_not_schedule() {
-        let items = vec![(); 64];
-        let a = with_threads(1, || par_map_seeded(&items, 42, |_, seed| seed));
-        let b = with_threads(8, || par_map_seeded(&items, 42, |_, seed| seed));
+        let seeds = |master| move |i| derive_seed(master, i as u64);
+        let a = with_threads(1, || par_gen(64, seeds(42)));
+        let b = with_threads(8, || par_gen(64, seeds(42)));
         assert_eq!(a, b);
         // Distinct indices get distinct seeds (splitmix64 is a
         // bijection composed with index mixing — collisions in 64
@@ -332,7 +316,7 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), a.len());
         // And a different master seed moves every stream.
-        let c = with_threads(8, || par_map_seeded(&items, 43, |_, seed| seed));
+        let c = with_threads(8, || par_gen(64, seeds(43)));
         assert_ne!(a, c);
     }
 

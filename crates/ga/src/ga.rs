@@ -81,7 +81,7 @@ pub trait Problem {
     /// or the initial population). The engine routes **all** fitness
     /// evaluation through this method, so overriding it is the single
     /// hook for parallel evaluation — e.g. via
-    /// [`par_evaluate`](crate::par_evaluate), which fans the batch out
+    /// [`par_evaluate`], which fans the batch out
     /// over the `carma-exec` pool.
     ///
     /// The default implementation is the serial loop; overrides must

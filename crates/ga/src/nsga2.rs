@@ -33,7 +33,7 @@ pub trait MultiObjectiveProblem {
 
     /// Evaluates a whole batch of genomes. The engine routes all
     /// fitness evaluation through this method; override it (e.g. with
-    /// [`par_evaluate_multi`](crate::par_evaluate_multi)) to evaluate
+    /// [`par_evaluate_multi`]) to evaluate
     /// a generation in parallel. Overrides must return results in
     /// input order and be pure per genome, keeping batch evaluation
     /// bit-identical to the serial default.

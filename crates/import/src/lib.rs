@@ -33,8 +33,8 @@ use std::path::Path;
 
 use carma_analyze::{lint, static_error_bound, LintOptions, LintProfile};
 use carma_multiplier::{
-    ApproxGenome, CircuitRecipe, ErrorProfile, MultiplierCircuit, MultiplierEntry,
-    MultiplierLibrary, ReductionKind,
+    CircuitRecipe, ErrorProfile, MultiplierCircuit, MultiplierEntry, MultiplierLibrary,
+    ReductionKind,
 };
 use carma_netlist::{check_equivalence, to_verilog, Equivalence, Netlist};
 
@@ -312,7 +312,6 @@ pub fn build_library(lib: &ImportedLibrary) -> MultiplierLibrary {
     let mut entries = vec![MultiplierEntry {
         name: format!("exact{}", lib.width),
         circuit: base.clone(),
-        genome: ApproxGenome::exact(),
         recipe: CircuitRecipe::Exact,
         profile: ErrorProfile::zero(lib.width),
     }];
@@ -328,7 +327,6 @@ pub fn build_library(lib: &ImportedLibrary) -> MultiplierLibrary {
             recipe: CircuitRecipe::Imported {
                 verilog: to_verilog(circuit.netlist()),
             },
-            genome: ApproxGenome::exact(),
             circuit,
             profile,
         }
@@ -339,6 +337,7 @@ pub fn build_library(lib: &ImportedLibrary) -> MultiplierLibrary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use carma_multiplier::ApproxGenome;
 
     /// An 8-bit multiplier library text derived from the exact Dadda
     /// by rewriting gates — used across tests.

@@ -7,30 +7,22 @@
 //! accuracy model in `carma-dnn` consumes the bias/variance pair; the
 //! NSGA-II library search minimizes (area, MRED).
 //!
-//! For widths ≤ 10 the characterization is exhaustive (all 2^(2n)
-//! operand pairs, evaluated 64 pairs at a time through the lane
-//! simulator); larger widths use deterministic stratified sampling.
+//! Characterization is exhaustive over all 2^(2n) operand pairs of a
+//! width-n multiplier (n ≤ 10). A pair's index is its lane-simulator
+//! input assignment (the `a` bits, then the `b` bits), so
+//! [`LaneSim::sweep`] enumerates the pairs 64 at a time.
 //!
-//! Both sweeps run on the `carma-exec` pool: the operand space is cut
+//! The sweep runs on the `carma-exec` pool: the operand space is cut
 //! into fixed-size chunks (fixed regardless of thread count), each
-//! chunk accumulates privately — sampled chunks with an RNG stream
-//! derived from `(seed, chunk index)` — and the partial accumulators
-//! merge in chunk order. Results are therefore bit-identical at every
-//! `CARMA_THREADS` setting.
+//! chunk accumulates privately in pair order, and the partial
+//! accumulators merge in chunk order. Results are therefore
+//! bit-identical at every `CARMA_THREADS` setting.
 
-use carma_netlist::sim::{pack_bit, unpack_lane};
+use carma_netlist::sim::{unpack_lane, WORD_LANES};
 use carma_netlist::LaneSim;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
 use crate::exact::MultiplierCircuit;
 
-/// Width (bits) up to which characterization is exhaustive.
-const EXHAUSTIVE_WIDTH_LIMIT: u32 = 10;
-/// Sample count used beyond the exhaustive limit.
-const SAMPLE_COUNT: usize = 1 << 18;
-/// Seed for sampled characterization (deterministic).
-const SAMPLE_SEED: u64 = 0x5EEDE44;
 /// Operand pairs per parallel work chunk. Fixed (never derived from
 /// the thread count) so the chunk boundaries — and with them the f64
 /// accumulation order — are identical at any parallelism.
@@ -86,103 +78,34 @@ impl ErrorProfile {
         }
     }
 
-    /// Characterizes `circuit` exhaustively (width ≤ 10) or by
-    /// stratified sampling (wider), automatically.
+    /// Characterizes `circuit` over all `2^(2n)` operand pairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit is wider than 10 bits.
     pub fn exhaustive(circuit: &MultiplierCircuit) -> Self {
-        if circuit.width() <= EXHAUSTIVE_WIDTH_LIMIT {
-            Self::characterize_exhaustive(circuit)
-        } else {
-            Self::characterize_sampled(circuit, SAMPLE_COUNT, SAMPLE_SEED)
-        }
-    }
-
-    /// Characterizes `circuit` on `samples` uniformly random operand
-    /// pairs. The sample stream is fully determined by `seed` (each
-    /// 4096-sample chunk draws from an RNG derived from the seed and
-    /// the chunk index), independent of thread count.
-    pub fn sampled(circuit: &MultiplierCircuit, samples: usize, seed: u64) -> Self {
-        Self::characterize_sampled(circuit, samples, seed)
-    }
-
-    fn characterize_exhaustive(circuit: &MultiplierCircuit) -> Self {
         let n = circuit.width();
+        assert!(
+            n <= 10,
+            "exhaustive characterization supports width ≤ 10, got {n}"
+        );
         let total = 1u64 << (2 * n);
+        let mask = (1u64 << n) - 1;
         let sim = LaneSim::new(circuit.netlist());
         let chunks = total.div_ceil(CHUNK_PAIRS) as usize;
         let partials = carma_exec::par_gen(chunks, |c| {
             let start = c as u64 * CHUNK_PAIRS;
             let end = (start + CHUNK_PAIRS).min(total);
             let mut acc = Accumulator::new(n);
-            let mut scratch = Vec::new();
-            let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(64);
-            for pair_idx in start..end {
-                let a = pair_idx & ((1 << n) - 1);
-                let b = pair_idx >> n;
-                pairs.push((a, b));
-                if pairs.len() == 64 {
-                    eval_lane_batch(&sim, n, &pairs, &mut acc, &mut scratch);
-                    pairs.clear();
+            sim.sweep(start..end, |first, out| {
+                for lane in 0..(end - first).min(WORD_LANES as u64) {
+                    let pair = first + lane;
+                    acc.record(pair & mask, pair >> n, unpack_lane(out, lane as usize));
                 }
-            }
-            eval_lane_batch(&sim, n, &pairs, &mut acc, &mut scratch);
+            });
             acc
         });
         Accumulator::merge_in_order(n, partials).finish()
-    }
-
-    fn characterize_sampled(circuit: &MultiplierCircuit, samples: usize, seed: u64) -> Self {
-        let n = circuit.width();
-        let sim = LaneSim::new(circuit.netlist());
-        let mask = (1u64 << n) - 1;
-        let chunk = CHUNK_PAIRS as usize;
-        let chunks = samples.div_ceil(chunk);
-        let partials = carma_exec::par_gen(chunks, |c| {
-            // Private RNG stream per chunk: the draw sequence depends
-            // only on (seed, chunk index), never on scheduling.
-            let mut rng = StdRng::seed_from_u64(carma_exec::derive_seed(seed, c as u64));
-            let mut acc = Accumulator::new(n);
-            let mut scratch = Vec::new();
-            let mut remaining = chunk.min(samples - c * chunk);
-            while remaining > 0 {
-                let batch = remaining.min(64);
-                let pairs: Vec<(u64, u64)> = (0..batch)
-                    .map(|_| (rng.random::<u64>() & mask, rng.random::<u64>() & mask))
-                    .collect();
-                eval_lane_batch(&sim, n, &pairs, &mut acc, &mut scratch);
-                remaining -= batch;
-            }
-            acc
-        });
-        Accumulator::merge_in_order(n, partials).finish()
-    }
-}
-
-/// Runs one ≤ 64-pair batch through the lane simulator and records the
-/// products into `acc`. No-op on an empty batch.
-fn eval_lane_batch(
-    sim: &LaneSim<'_>,
-    n: u32,
-    pairs: &[(u64, u64)],
-    acc: &mut Accumulator,
-    scratch: &mut Vec<u64>,
-) {
-    if pairs.is_empty() {
-        return;
-    }
-    debug_assert!(pairs.len() <= 64, "lane simulator is 64-wide");
-    let a_vals: Vec<u64> = pairs.iter().map(|&(a, _)| a).collect();
-    let b_vals: Vec<u64> = pairs.iter().map(|&(_, b)| b).collect();
-    let mut words = Vec::with_capacity(2 * n as usize);
-    for bit in 0..n {
-        words.push(pack_bit(&a_vals, bit));
-    }
-    for bit in 0..n {
-        words.push(pack_bit(&b_vals, bit));
-    }
-    let out = sim.eval_into(&words, scratch);
-    for (lane, &(a, b)) in pairs.iter().enumerate() {
-        let approx = unpack_lane(&out, lane);
-        acc.record(a, b, approx);
     }
 }
 
@@ -335,39 +258,18 @@ mod tests {
     }
 
     #[test]
-    fn sampled_profile_close_to_exhaustive() {
-        let base = base8();
-        let approx = ApproxGenome::truncation(2, 2).apply(&base);
-        let full = ErrorProfile::exhaustive(&approx);
-        let sampled = ErrorProfile::sampled(&approx, 1 << 14, 99);
-        assert!(
-            (full.mred - sampled.mred).abs() / full.mred < 0.1,
-            "exhaustive {} vs sampled {}",
-            full.mred,
-            sampled.mred
-        );
-        assert!((full.error_rate - sampled.error_rate).abs() < 0.02);
-    }
-
-    #[test]
-    fn sampled_is_deterministic_per_seed() {
-        let base = base8();
-        let approx = ApproxGenome::truncation(1, 1).apply(&base);
-        let a = ErrorProfile::sampled(&approx, 4096, 7);
-        let b = ErrorProfile::sampled(&approx, 4096, 7);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn characterization_is_thread_count_invariant() {
         let base = base8();
         let approx = ApproxGenome::truncation(2, 1).apply(&base);
         let exhaustive_1 = carma_exec::with_threads(1, || ErrorProfile::exhaustive(&approx));
         let exhaustive_8 = carma_exec::with_threads(8, || ErrorProfile::exhaustive(&approx));
         assert_eq!(exhaustive_1, exhaustive_8);
-        let sampled_1 = carma_exec::with_threads(1, || ErrorProfile::sampled(&approx, 9999, 5));
-        let sampled_8 = carma_exec::with_threads(8, || ErrorProfile::sampled(&approx, 9999, 5));
-        assert_eq!(sampled_1, sampled_8);
+    }
+
+    #[test]
+    #[should_panic(expected = "supports width ≤ 10, got 11")]
+    fn exhaustive_rejects_widths_above_10() {
+        let _ = ErrorProfile::exhaustive(&MultiplierCircuit::generate(11, ReductionKind::Dadda));
     }
 
     #[test]

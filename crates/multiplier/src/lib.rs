@@ -16,7 +16,7 @@
 //!   Wallace, Dadda reduction schedules);
 //! * [`approx`] — the two approximation primitives (gate pruning,
 //!   precision scaling) and the [`ApproxGenome`] that composes them;
-//! * [`error`] — exhaustive/sampled error characterization
+//! * [`error`] — exhaustive error characterization
 //!   ([`ErrorProfile`]: error rate, MED, NMED, MRED, WCE, bias,
 //!   variance);
 //! * [`lut`] — compilation of any multiplier netlist into a lookup

@@ -7,7 +7,6 @@
 //! picks.
 
 use std::fmt;
-use std::sync::OnceLock;
 
 use carma_ga::{MultiObjectiveProblem, Nsga2, Nsga2Config};
 use carma_netlist::ImportFormat;
@@ -88,20 +87,6 @@ impl CircuitRecipe {
             }
         }
     }
-
-    /// The genome recorded on an entry rebuilt from this recipe —
-    /// mirrors what the original constructors stored (BAM/TCC units
-    /// are not genome-derived, so they carry the identity genome).
-    pub fn genome(&self) -> ApproxGenome {
-        match self {
-            CircuitRecipe::Exact
-            | CircuitRecipe::BrokenArray { .. }
-            | CircuitRecipe::TruncCorrect { .. }
-            | CircuitRecipe::Imported { .. } => ApproxGenome::exact(),
-            CircuitRecipe::Truncation { a, b } => ApproxGenome::truncation(*a, *b),
-            CircuitRecipe::Genome(g) => g.clone(),
-        }
-    }
 }
 
 /// One library member: an approximate (or exact) multiplier circuit
@@ -112,8 +97,6 @@ pub struct MultiplierEntry {
     pub name: String,
     /// The circuit (already swept).
     pub circuit: MultiplierCircuit,
-    /// The genome that produced the circuit (identity for exact).
-    pub genome: ApproxGenome,
     /// How the circuit derives from the exact base (durable
     /// provenance; see [`CircuitRecipe`]).
     pub recipe: CircuitRecipe,
@@ -248,36 +231,10 @@ impl MultiplierLibrary {
             "ladder library needs width in 1..=10"
         );
         let base = MultiplierCircuit::generate(width, ReductionKind::Dadda);
-        // Enumerate the ladder cheaply, then characterize every rung
-        // in parallel (characterization is the construction cost).
-        let mut rungs = Vec::new();
-        for ta in 0..=max_depth {
-            for tb in ta..=max_depth {
-                rungs.push((ta, tb));
-            }
-        }
-        let entries = carma_exec::par_map(&rungs, |&(ta, tb)| {
-            let genome = ApproxGenome::truncation(ta, tb);
-            let circuit = genome.apply(&base);
-            debug_assert!(
-                prescreen_circuit(&circuit).is_ok(),
-                "ladder rung ({ta},{tb}) failed static pre-screen: {:?}",
-                prescreen_circuit(&circuit)
-            );
-            let profile = if genome.is_exact() {
-                ErrorProfile::zero(width)
-            } else {
-                ErrorProfile::exhaustive(&circuit)
-            };
-            MultiplierEntry {
-                name: format!("trunc{width}_{ta}_{tb}"),
-                circuit,
-                genome,
-                recipe: CircuitRecipe::Truncation { a: ta, b: tb },
-                profile,
-            }
-        });
-        Self::from_entries(width, entries)
+        let rungs: Vec<_> = (0..=max_depth)
+            .flat_map(|ta| (ta..=max_depth).map(move |tb| truncation(width, ta, tb)))
+            .collect();
+        Self::from_entries(width, characterize(&base, width, &rungs))
     }
 
     /// Builds a mixed library of the classic approximate families:
@@ -294,81 +251,43 @@ impl MultiplierLibrary {
             (1..=10).contains(&width),
             "classic library needs width in 1..=10"
         );
-        let base = MultiplierCircuit::generate(width, ReductionKind::Dadda);
-        // Candidate list first (cheap), then one parallel
-        // characterization sweep over all families; candidates whose
-        // profile turns out exact (error rate 0) are dropped below.
-        enum Candidate {
-            Trunc(u8),
-            Bam(u32),
-            Tcc(u32),
-        }
-        let mut candidates = Vec::new();
-        for t in 1..=max_depth {
-            candidates.push(Candidate::Trunc(t));
-        }
+        let mut candidates: Vec<_> = (1..=max_depth).map(|t| truncation(width, t, t)).collect();
         for omit in 1..=(2 * u32::from(max_depth)).min(2 * width - 1) {
-            candidates.push(Candidate::Bam(omit));
-            candidates.push(Candidate::Tcc(omit));
+            candidates.push((
+                format!("bam{width}_{omit}"),
+                CircuitRecipe::BrokenArray { omit },
+            ));
+            candidates.push((
+                format!("tcc{width}_{omit}"),
+                CircuitRecipe::TruncCorrect { omit },
+            ));
         }
-        let characterized = carma_exec::par_map(&candidates, |candidate| {
-            let (name, circuit, genome, recipe) = match *candidate {
-                Candidate::Trunc(t) => {
-                    let genome = ApproxGenome::truncation(t, t);
-                    let circuit = genome.apply(&base);
-                    (
-                        format!("trunc{width}_{t}_{t}"),
-                        circuit,
-                        genome,
-                        CircuitRecipe::Truncation { a: t, b: t },
-                    )
-                }
-                Candidate::Bam(omit) => (
-                    format!("bam{width}_{omit}"),
-                    crate::families::broken_array(width, omit, ReductionKind::Dadda),
-                    ApproxGenome::exact(), // not genome-derived
-                    CircuitRecipe::BrokenArray { omit },
-                ),
-                Candidate::Tcc(omit) => (
-                    format!("tcc{width}_{omit}"),
-                    crate::families::truncated_with_correction(width, omit, ReductionKind::Dadda),
-                    ApproxGenome::exact(),
-                    CircuitRecipe::TruncCorrect { omit },
-                ),
-            };
-            debug_assert!(
-                prescreen_circuit(&circuit).is_ok(),
-                "classic candidate `{name}` failed static pre-screen: {:?}",
-                prescreen_circuit(&circuit)
-            );
-            let profile = ErrorProfile::exhaustive(&circuit);
-            let keep_even_if_exact = matches!(candidate, Candidate::Trunc(_));
-            (
-                keep_even_if_exact,
-                MultiplierEntry {
-                    name,
-                    circuit,
-                    genome,
-                    recipe,
-                    profile,
-                },
-            )
-        });
+        let base = MultiplierCircuit::generate(width, ReductionKind::Dadda);
         let mut entries = vec![exact_entry(&base, width)];
         entries.extend(
-            characterized
+            characterize(&base, width, &candidates)
                 .into_iter()
                 // Truncation rungs always err; BAM/TCC break lines can
                 // rediscover the exact function — skip those.
-                .filter(|(keep, e)| *keep || e.profile.error_rate > 0.0)
-                .map(|(_, e)| e),
+                .filter(|e| {
+                    matches!(e.recipe, CircuitRecipe::Truncation { .. })
+                        || e.profile.error_rate > 0.0
+                }),
         );
         Self::from_entries(width, entries)
     }
 
     /// Runs the NSGA-II search over gate pruning + precision scaling
     /// and returns the resulting Pareto library (exact unit included).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.width` is outside `1..=10`.
     pub fn evolve(config: LibraryConfig) -> Self {
+        assert!(
+            (1..=10).contains(&config.width),
+            "evolved library needs width in 1..=10"
+        );
         let base = MultiplierCircuit::generate(config.width, config.kind);
         let problem = ApproxSearch {
             base: base.clone(),
@@ -392,7 +311,6 @@ impl MultiplierLibrary {
             MultiplierEntry {
                 name: format!("carma{}_{i:03}", config.width),
                 circuit,
-                genome: p.genome.clone(),
                 recipe: CircuitRecipe::Genome(p.genome.clone()),
                 profile,
             }
@@ -435,7 +353,6 @@ impl MultiplierLibrary {
             MultiplierEntry {
                 name: name.clone(),
                 circuit,
-                genome: recipe.genome(),
                 recipe: recipe.clone(),
                 profile: *profile,
             }
@@ -535,22 +452,51 @@ impl std::ops::Index<usize> for MultiplierLibrary {
     }
 }
 
-/// Returns a process-wide cached standard 8-bit library (truncation
-/// ladder, depth 4) — the default pool the GA-CDP flow draws from when
-/// no evolved library is supplied.
-pub fn standard_8bit() -> &'static MultiplierLibrary {
-    static LIB: OnceLock<MultiplierLibrary> = OnceLock::new();
-    LIB.get_or_init(|| MultiplierLibrary::truncation_ladder(8, 4))
-}
-
 fn exact_entry(base: &MultiplierCircuit, width: u32) -> MultiplierEntry {
     MultiplierEntry {
         name: format!("exact{width}"),
         circuit: base.clone(),
-        genome: ApproxGenome::exact(),
         recipe: CircuitRecipe::Exact,
         profile: ErrorProfile::zero(width),
     }
+}
+
+/// The `trunc<width>_<a>_<b>` ladder candidate.
+fn truncation(width: u32, a: u8, b: u8) -> (String, CircuitRecipe) {
+    (
+        format!("trunc{width}_{a}_{b}"),
+        CircuitRecipe::Truncation { a, b },
+    )
+}
+
+/// Builds every `(name, recipe)` candidate over the exact Dadda
+/// `base` and characterizes them in parallel (characterization is the
+/// construction cost). The `(0, 0)` truncation rung is exact by
+/// construction and is not swept.
+fn characterize(
+    base: &MultiplierCircuit,
+    width: u32,
+    candidates: &[(String, CircuitRecipe)],
+) -> Vec<MultiplierEntry> {
+    carma_exec::par_map(candidates, |(name, recipe)| {
+        let circuit = recipe.build(base, width, ReductionKind::Dadda);
+        debug_assert!(
+            prescreen_circuit(&circuit).is_ok(),
+            "candidate `{name}` failed static pre-screen: {:?}",
+            prescreen_circuit(&circuit)
+        );
+        let profile = if *recipe == (CircuitRecipe::Truncation { a: 0, b: 0 }) {
+            ErrorProfile::zero(width)
+        } else {
+            ErrorProfile::exhaustive(&circuit)
+        };
+        MultiplierEntry {
+            name: name.clone(),
+            circuit,
+            recipe: recipe.clone(),
+            profile,
+        }
+    })
 }
 
 /// The NSGA-II problem: minimize (transistors, MRED) over
@@ -755,19 +701,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "evolved library needs width in 1..=10")]
+    fn evolve_rejects_widths_above_10() {
+        let _ = MultiplierLibrary::evolve(LibraryConfig {
+            width: 11,
+            ..LibraryConfig::default()
+        });
+    }
+
+    #[test]
     fn area_saving_vs_exact() {
         let lib = MultiplierLibrary::truncation_ladder(8, 2);
         let exact = lib.exact();
         let worst = lib.entries().last().unwrap();
         let saving = worst.area_saving_vs(exact);
         assert!(saving > 0.0 && saving < 1.0, "saving = {saving}");
-    }
-
-    #[test]
-    fn standard_8bit_is_cached() {
-        let a = standard_8bit() as *const _;
-        let b = standard_8bit() as *const _;
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -824,7 +772,6 @@ mod tests {
         for (a, b) in original.entries().iter().zip(rebuilt.entries()) {
             assert_eq!(a.name, b.name, "order must be preserved verbatim");
             assert_eq!(a.transistors(), b.transistors());
-            assert_eq!(a.genome, b.genome);
             assert_eq!(a.recipe, b.recipe);
             assert_eq!(a.profile, b.profile);
         }
@@ -855,7 +802,7 @@ mod tests {
             // The rebuilt circuit is functionally identical: an
             // exhaustive re-characterization reproduces the stored
             // profile bit-for-bit.
-            let recheck = if b.genome.is_exact() && b.profile.mred == 0.0 {
+            let recheck = if b.recipe == CircuitRecipe::Exact {
                 ErrorProfile::zero(4)
             } else {
                 ErrorProfile::exhaustive(&b.circuit)

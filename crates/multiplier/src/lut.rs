@@ -9,7 +9,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use carma_netlist::sim::{pack_bit, unpack_lane};
+use carma_netlist::sim::{unpack_lane, WORD_LANES};
 use carma_netlist::LaneSim;
 
 use crate::exact::MultiplierCircuit;
@@ -67,7 +67,7 @@ impl Multiplier for ExactMultiplier {
 /// A multiplier backed by a fully materialized lookup table.
 ///
 /// The table is built by lane-simulating the circuit over all
-/// `2^(2n)` operand pairs (for 8-bit units: 65 536 entries, 4 096 lane
+/// `2^(2n)` operand pairs (for 8-bit units: 65 536 entries, 1 024 lane
 /// evaluations). The table is shared via [`Arc`] so cloning is cheap.
 ///
 /// ```
@@ -103,42 +103,19 @@ impl LutMultiplier {
             "LUT compilation supports width ≤ {}, got {n}",
             Self::MAX_WIDTH
         );
-        let entries = 1usize << (2 * n);
-        let mut table = vec![0u32; entries];
-        let sim = LaneSim::new(circuit.netlist());
-        let mut scratch = Vec::new();
-
-        let mut idx = 0usize;
-        while idx < entries {
-            let batch = (entries - idx).min(64);
-            let a_vals: Vec<u64> = (0..batch)
-                .map(|k| ((idx + k) as u64) & ((1 << n) - 1))
-                .collect();
-            let b_vals: Vec<u64> = (0..batch).map(|k| ((idx + k) as u64) >> n).collect();
-            let mut words = Vec::with_capacity(2 * n as usize);
-            for bit in 0..n {
-                words.push(pack_bit(&a_vals, bit));
+        // Entry `(b << n) | a` is the pair's sweep assignment index.
+        let mut table = vec![0u32; 1 << (2 * n)];
+        LaneSim::new(circuit.netlist()).sweep(0..table.len() as u64, |first, out| {
+            let word = table[first as usize..].iter_mut().take(WORD_LANES);
+            for (lane, entry) in word.enumerate() {
+                *entry = unpack_lane(out, lane) as u32;
             }
-            for bit in 0..n {
-                words.push(pack_bit(&b_vals, bit));
-            }
-            let out = sim.eval_into(&words, &mut scratch);
-            for lane in 0..batch {
-                table[idx + lane] = unpack_lane(&out, lane) as u32;
-            }
-            idx += batch;
-        }
-
+        });
         LutMultiplier {
             width: n,
             name: circuit.netlist().name().to_string(),
             table: table.into(),
         }
-    }
-
-    /// Number of entries in the table.
-    pub fn table_len(&self) -> usize {
-        self.table.len()
     }
 }
 
@@ -183,7 +160,7 @@ mod tests {
                 assert_eq!(lut.multiply(a, b), u64::from(a * b), "{a}×{b}");
             }
         }
-        assert_eq!(lut.table_len(), 65_536);
+        assert_eq!(lut.table.len(), 65_536);
     }
 
     #[test]

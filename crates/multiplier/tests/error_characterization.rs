@@ -1,7 +1,6 @@
-//! Characterization-mode contract for [`carma_multiplier::ErrorProfile`]:
-//! exhaustive and sampled characterization must agree on the broad
-//! strokes — exact circuits have identically zero error either way,
-//! and truncated circuits land inside analytically known NMED bounds.
+//! Characterization contract for [`carma_multiplier::ErrorProfile`]:
+//! exact circuits have identically zero error, and truncated circuits
+//! land inside analytically known NMED bounds.
 
 use carma_multiplier::{ApproxGenome, ErrorProfile, MultiplierCircuit, ReductionKind};
 
@@ -21,25 +20,11 @@ fn exact_multiplier_has_zero_error_exhaustively() {
     assert_eq!(p.variance, 0.0);
 }
 
-#[test]
-fn exact_multiplier_has_zero_error_under_sampling() {
-    // Sampling can only ever observe errors the circuit commits; an
-    // exact circuit must therefore report zero regardless of the
-    // sample budget or seed.
-    for seed in [1u64, 7, 0xDEAD] {
-        let p = ErrorProfile::sampled(&exact8(), 4096, seed);
-        assert_eq!(p.error_rate, 0.0, "seed {seed}");
-        assert_eq!(p.wce, 0, "seed {seed}");
-        assert_eq!(p.nmed, 0.0, "seed {seed}");
-    }
-}
-
 /// For truncating the `t` low bits of both operands of an 8×8
 /// multiplier, the worst-case product error is bounded by
 /// `a_low·b_high + b_low·a_high + a_low·b_low <
 /// 2·(2^t−1)·255 + (2^t−1)²`, giving an analytic NMED ceiling of
-/// `WCE / P_max`. The mean error is far below the ceiling; both
-/// characterizations must respect the bracket.
+/// `WCE / P_max`. The mean error is far below the ceiling.
 #[test]
 fn truncated_multiplier_nmed_within_analytic_bounds() {
     let p_max = 255.0f64 * 255.0;
@@ -66,39 +51,6 @@ fn truncated_multiplier_nmed_within_analytic_bounds() {
             exhaustive.wce
         );
     }
-}
-
-#[test]
-fn sampled_profile_tracks_exhaustive_within_tolerance() {
-    // A large deterministic sample must reproduce the exhaustive
-    // statistics closely (the domain has only 65 536 points).
-    let circuit = ApproxGenome::truncation(3, 3).apply(&exact8());
-    let exhaustive = ErrorProfile::exhaustive(&circuit);
-    let sampled = ErrorProfile::sampled(&circuit, 1 << 14, 42);
-
-    assert!(
-        (sampled.error_rate - exhaustive.error_rate).abs() < 0.02,
-        "error rate: sampled {} vs exhaustive {}",
-        sampled.error_rate,
-        exhaustive.error_rate
-    );
-    let rel = (sampled.nmed - exhaustive.nmed).abs() / exhaustive.nmed;
-    assert!(
-        rel < 0.15,
-        "NMED relative gap {rel}: sampled {} vs exhaustive {}",
-        sampled.nmed,
-        exhaustive.nmed
-    );
-    // The sampled worst case can never exceed the true worst case.
-    assert!(sampled.wce <= exhaustive.wce);
-}
-
-#[test]
-fn sampled_characterization_is_deterministic_per_seed() {
-    let circuit = ApproxGenome::truncation(2, 2).apply(&exact8());
-    let a = ErrorProfile::sampled(&circuit, 2048, 9);
-    let b = ErrorProfile::sampled(&circuit, 2048, 9);
-    assert_eq!(a, b);
 }
 
 #[test]

@@ -562,7 +562,7 @@ fn set_driver(
 // ---------------------------------------------------------------------------
 
 /// Renders `netlist` as an EDIF 2.0.0 file in the subset
-/// [`parse_modules`] accepts (and external EDIF tools read):
+/// `parse_modules` accepts (and external EDIF tools read):
 /// primitive cell declarations for every gate kind used, then one
 /// design cell with `interface` ports and `contents`
 /// instances/joined nets.

@@ -1,7 +1,7 @@
 //! Structural netlist ingestion: the inverse of [`crate::verilog`].
 //!
 //! Two front-ends parse external gate-level descriptions into the
-//! shared [`ModuleGraph`] form — a flat signal/driver map — which a
+//! shared `ModuleGraph` form — a flat signal/driver map — which a
 //! single back-end lowers into validated [`Netlist`]s:
 //!
 //! - [`verilog`] — the structural Verilog-2001 subset `to_verilog`

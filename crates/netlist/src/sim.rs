@@ -1,10 +1,13 @@
 //! Bit-parallel netlist simulation.
 //!
 //! [`LaneSim`] evaluates a combinational netlist on 64 independent
-//! input vectors at once by packing one vector per bit lane of a `u64`.
-//! An exhaustive sweep of an 8×8 multiplier (65 536 vectors) therefore
-//! costs only 1 024 netlist passes, which makes exact error metrics
-//! cheap enough to sit inside a genetic-algorithm inner loop.
+//! input vectors at once, one vector per bit lane of a `u64`.
+//! [`LaneSim::sweep`] enumerates input assignments in index order, 64
+//! per netlist pass: an exhaustive sweep of an 8×8 multiplier (65 536
+//! vectors) costs 1 024 passes, which makes exact error metrics cheap
+//! enough to sit inside a genetic-algorithm inner loop.
+
+use std::ops::Range;
 
 use crate::gate::Node;
 use crate::netlist::Netlist;
@@ -12,11 +15,22 @@ use crate::netlist::Netlist;
 /// Number of input vectors evaluated per [`LaneSim::eval`] call.
 pub const WORD_LANES: usize = 64;
 
+/// Input words of the six lowest assignment bits in a [`LaneSim::sweep`]
+/// word: lane `k` of `LANE_MASKS[i]` is bit `i` of `k`.
+const LANE_MASKS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
 /// A reusable lane simulator bound to one netlist.
 ///
-/// The simulator borrows the netlist and allocates its scratch buffer
-/// once, so repeated evaluation (exhaustive sweeps, Monte-Carlo error
-/// sampling) does not allocate.
+/// The simulator borrows the netlist; [`eval_into`](Self::eval_into)
+/// and [`sweep`](Self::sweep) reuse one scratch buffer across netlist
+/// passes.
 ///
 /// # Example
 ///
@@ -104,6 +118,46 @@ impl<'a> LaneSim<'a> {
             .iter()
             .map(|(_, id)| scratch[id.index()])
             .collect()
+    }
+
+    /// Evaluates the input assignments in `range` in index order, 64
+    /// per word, where assignment `x` drives primary input `i` with
+    /// bit `i` of `x`. Calls `f(first, outputs)` once per word: lane
+    /// `k` of `outputs` is the netlist's response to assignment
+    /// `first + k`. Lanes of a final partial word past `range.end`
+    /// carry no meaning.
+    ///
+    /// The input words need no packing: the six lowest inputs are
+    /// fixed lane masks, and every higher input is a broadcast of that
+    /// bit of `first`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range.start` is not a multiple of 64, or if
+    /// `range.end` exceeds the `2^inputs` assignments.
+    pub fn sweep(&self, range: Range<u64>, mut f: impl FnMut(u64, &[u64])) {
+        let inputs = self.netlist.input_count();
+        assert!(
+            range.start.is_multiple_of(WORD_LANES as u64),
+            "sweep start {} is not a multiple of {WORD_LANES}",
+            range.start
+        );
+        assert!(
+            1u64.checked_shl(inputs as u32)
+                .is_none_or(|count| range.end <= count),
+            "sweep end {} exceeds the 2^{inputs} input assignments",
+            range.end
+        );
+        let mut words: Vec<u64> = (0..inputs)
+            .map(|i| LANE_MASKS.get(i).copied().unwrap_or(0))
+            .collect();
+        let mut scratch = Vec::new();
+        for first in range.step_by(WORD_LANES) {
+            for (i, w) in words.iter_mut().enumerate().skip(LANE_MASKS.len()) {
+                *w = 0u64.wrapping_sub(first.checked_shr(i as u32).unwrap_or(0) & 1);
+            }
+            f(first, &self.eval_into(&words, &mut scratch));
+        }
     }
 }
 
@@ -202,6 +256,45 @@ mod tests {
     fn wrong_input_count_panics() {
         let n = xor_chain(1);
         LaneSim::new(&n).eval(&[0]);
+    }
+
+    /// `inputs` primary inputs wired straight to as many outputs.
+    fn identity(inputs: usize) -> Netlist {
+        let mut n = Netlist::new("identity");
+        for i in 0..inputs {
+            let x = n.input(format!("x{i}"));
+            n.output(format!("y{i}"), x);
+        }
+        n
+    }
+
+    #[test]
+    fn sweep_lanes_read_back_their_assignment_index() {
+        let n = identity(10);
+        let mut firsts = Vec::new();
+        LaneSim::new(&n).sweep(192..640, |first, out| {
+            for k in 0..WORD_LANES {
+                assert_eq!(unpack_lane(out, k), first + k as u64, "first {first}");
+            }
+            firsts.push(first);
+        });
+        assert_eq!(firsts, (192..640).step_by(WORD_LANES).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn sweep_of_two_inputs_is_one_partial_word() {
+        let n = xor_chain(1);
+        let mut words = Vec::new();
+        LaneSim::new(&n).sweep(0..4, |first, out| words.push((first, out[0] & 0xF)));
+        // Assignments 0..4 drive (a, b) = (0,0), (1,0), (0,1), (1,1).
+        assert_eq!(words, vec![(0, 0b0110)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a multiple of 64")]
+    fn sweep_start_off_a_word_boundary_panics() {
+        let n = identity(8);
+        LaneSim::new(&n).sweep(32..256, |_, _| {});
     }
 
     #[test]
