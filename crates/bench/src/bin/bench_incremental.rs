@@ -22,18 +22,18 @@
 //! environment, and each phase reports its fastest run, so a burst of
 //! contention on a shared host cannot pass for lost reuse.
 //!
-//! The binary asserts the warm-overlap run is at least 5× faster than
-//! cold, that the memo actually served the shared stages (hit
-//! counters), and that the cold and warm reports are byte-identical.
+//! The times are reported, not gated: wall-clock ratios flake on a
+//! shared host. The binary asserts deterministic counters instead:
+//! the warm environment missed the library and context stages exactly
+//! once each (fig2's misses), every warm `deployment` run did no DNN
+//! work (`dnn.macs` = 0), every cold run did exactly one accuracy
+//! characterization's worth, and the cold, warm and repeat reports are
+//! byte-identical.
 
 use std::sync::Arc;
 
 use carma_core::scenario::{ExperimentRegistry, RunEnv, Scale, ScenarioSpec};
-
-/// The floor the warm-overlap run must clear; library + context
-/// characterization dominate a cold `deployment`, so reuse buys far
-/// more than this in practice.
-const MIN_WARM_SPEEDUP: f64 = 5.0;
+use carma_trace::Trace;
 
 /// Rounds of one cold and one warm run; each phase reports its fastest.
 const REPS: usize = 5;
@@ -43,6 +43,16 @@ fn fastest<R>(runs: Vec<(f64, R)>) -> (f64, R) {
     runs.into_iter()
         .min_by(|a, b| a.0.total_cmp(&b.0))
         .expect("at least one run")
+}
+
+/// The `dnn.macs` counter of one run's trace (0 when no accuracy pass
+/// ran).
+fn dnn_macs(trace: &Trace) -> u64 {
+    trace
+        .counters
+        .iter()
+        .find(|(name, _)| *name == "dnn.macs")
+        .map_or(0, |&(_, macs)| macs)
 }
 
 fn main() {
@@ -60,12 +70,28 @@ fn main() {
     let deployment = ScenarioSpec::named("deployment");
     let fig2 = ScenarioSpec::named("fig2");
 
-    // Every measured run goes through the shared `time_it` helper
-    // under one collector, so the per-phase breakdown lands in the
-    // trace summary printed at the end.
-    let collector = Arc::new(carma_trace::Collector::new());
+    // One context miss runs every sample through the network once for
+    // the exact reference and once per approximate library entry.
+    let resolved = deployment
+        .resolve(&registry, cli_scale, None)
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
+    let evaluator = resolved.evaluator();
+    let approximate = resolved
+        .library()
+        .entries()
+        .iter()
+        .filter(|e| e.profile.error_rate != 0.0)
+        .count() as u64;
+    let cold_macs = evaluator.macs_per_inference() * evaluator.samples as u64 * (approximate + 1);
+
+    // Every measured run goes through the shared `time_it` helper under
+    // a collector of its own, so its counters describe that run alone.
     let run = |env: &RunEnv, spec: &ScenarioSpec| {
-        carma_trace::with_collector(&collector, || {
+        let collector = Arc::new(carma_trace::Collector::new());
+        let (s, report) = carma_trace::with_collector(&collector, || {
             carma_bench::time_it("bench.run", || {
                 registry
                     .run_with_env(spec, cli_scale, None, env)
@@ -74,38 +100,47 @@ fn main() {
                         std::process::exit(2);
                     })
             })
-        })
+        });
+        (s, (report, collector.snapshot()))
     };
 
     let (mut cold, mut warm) = (Vec::new(), Vec::new());
     for _ in 0..REPS {
         // Cold: fresh environment, every stage computes.
-        cold.push(run(&RunEnv::standard(), &deployment));
+        let (s, (report, trace)) = run(&RunEnv::standard(), &deployment);
+        assert_eq!(
+            dnn_macs(&trace),
+            cold_macs,
+            "a cold deployment characterizes accuracy exactly once"
+        );
+        cold.push((s, (report, trace)));
         // Warm overlap: fig2 fills the library/context/exact-sweep
         // cells that deployment shares; only deployment-specific cells
         // compute.
         let env = RunEnv::standard();
         run(&env, &fig2);
-        let (s, report) = run(&env, &deployment);
-        warm.push((s, (report, env)));
+        let (s, (report, trace)) = run(&env, &deployment);
+        assert_eq!(
+            dnn_macs(&trace),
+            0,
+            "a warm deployment reran the accuracy pass fig2 already paid for"
+        );
+        warm.push((s, (report, trace, env)));
     }
-    let (cold_s, cold_report) = fastest(cold);
-    let (warm_s, (warm_report, warm_env)) = fastest(warm);
+    let (cold_s, (cold_report, cold_trace)) = fastest(cold);
+    let (warm_s, (warm_report, warm_trace, warm_env)) = fastest(warm);
 
     // Repeat: everything is memoized now.
-    let (repeat_s, repeat_report) = run(&warm_env, &deployment);
+    let (repeat_s, (repeat_report, _)) = run(&warm_env, &deployment);
 
-    // Reuse must be real, not a timing accident: the shared stages
-    // were served from the memo, and memoization never changed a bit
-    // of the output.
+    // Reuse must be real, not a timing accident: fig2's library and
+    // context misses were the environment's only ones, and memoization
+    // never changed a bit of the output.
     let stats = warm_env.memo_stats().expect("standard env is memoized");
-    assert!(
-        stats.library.hits >= 1,
-        "deployment never hit the library fig2 built: {stats:?}"
-    );
-    assert!(
-        stats.context.hits >= 1,
-        "deployment never hit the context fig2 characterized: {stats:?}"
+    assert_eq!(
+        (stats.library.misses, stats.context.misses),
+        (1, 1),
+        "deployment recomputed a library or context fig2 built: {stats:?}"
     );
     assert!(
         stats.cell.hits >= 1,
@@ -124,11 +159,6 @@ fn main() {
 
     let speedup_warm = cold_s / warm_s.max(1e-9);
     let speedup_repeat = cold_s / repeat_s.max(1e-9);
-    assert!(
-        speedup_warm >= MIN_WARM_SPEEDUP,
-        "warm-overlap speedup {speedup_warm:.2}x is below the {MIN_WARM_SPEEDUP}x floor \
-         (cold {cold_s:.3}s, warm {warm_s:.3}s)"
-    );
 
     let host = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -154,5 +184,6 @@ fn main() {
         "\ncold {cold_s:.3}s -> warm {warm_s:.3}s ({speedup_warm:.1}x) -> \
          repeat {repeat_s:.3}s ({speedup_repeat:.1}x)"
     );
-    eprint!("\n{}", collector.snapshot().text_profile());
+    eprint!("\ncold run:\n{}", cold_trace.text_profile());
+    eprint!("\nwarm run:\n{}", warm_trace.text_profile());
 }

@@ -44,9 +44,9 @@ fn bench_parallel_runs_to_completion() {
 
 #[test]
 fn bench_incremental_runs_to_completion() {
-    // `--test` pins quick scale; the binary asserts the warm-overlap
-    // speedup floor, memo hit counters, and byte-identical reports
-    // internally. BENCH_incremental.json lands in the scratch dir.
+    // `--test` pins quick scale; the binary asserts exact memo miss
+    // and `dnn.macs` counters and byte-identical reports internally.
+    // BENCH_incremental.json lands in the scratch dir.
     run_bin(
         env!("CARGO_BIN_EXE_bench_incremental"),
         "bench_incremental",

@@ -442,6 +442,17 @@ fn run_ga_uncached(
         seeds.push(exact_dp);
         seeds.push(approx_dp);
     }
+    // The GA keeps only the first `population` seeds, which drops the
+    // largest presets; when none of the kept ones reaches the FPS
+    // floor, the smallest preset that does and its approximate twin
+    // take the last two kept slots.
+    let kept = config.population.min(seeds.len());
+    let meets_fps = |dp: &DesignPoint| ctx.evaluate(dp, model).fps >= constraints.min_fps;
+    if kept < seeds.len() && !seeds[..kept].iter().any(meets_fps) {
+        if let Some(exact) = (0..seeds.len()).step_by(2).find(|&i| meets_fps(&seeds[i])) {
+            seeds.copy_within(exact..exact + 2, kept - 2);
+        }
+    }
     let best = GeneticAlgorithm::new(problem, config).run_seeded(&seeds);
     assert!(
         best.evaluation.is_feasible(),
@@ -694,6 +705,25 @@ mod tests {
             Err(ConstraintError::DropOutOfRange(1.5))
         );
         assert!(Constraints::new(30.0, 0.02).is_ok());
+    }
+
+    #[test]
+    fn small_populations_keep_a_seed_that_meets_the_fps_floor() {
+        // Only the 2,048-MAC preset reaches 50 FPS on vgg16, and a
+        // population of 8 keeps the 8 smallest of the 12 preset seeds.
+        let constraints = Constraints::new(50.0, 0.02).unwrap();
+        for seed in 1..=6 {
+            let best = ga_cdp(
+                ctx7(),
+                &DnnModel::vgg16(),
+                constraints,
+                GaConfig::default()
+                    .with_population(8)
+                    .with_generations(4)
+                    .with_seed(seed),
+            );
+            assert!(constraints.satisfied_by(&best), "seed {seed}: {best:?}");
+        }
     }
 
     #[test]

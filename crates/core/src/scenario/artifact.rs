@@ -713,6 +713,9 @@ impl Report {
             serde::json::to_string(&self.notes)
         ));
         out.push('}');
+        // Rendered reports outlive their render (the memo's report
+        // stage, serve responses), so they keep no growth slack.
+        out.shrink_to_fit();
         out
     }
 

@@ -50,6 +50,14 @@ impl Default for EvaluatorConfig {
     }
 }
 
+impl EvaluatorConfig {
+    /// Multiply-accumulates of one forward pass through the synthetic
+    /// network this configuration evaluates.
+    pub fn macs_per_inference(&self) -> u64 {
+        QuantizedNetwork::synthetic(self.input_hw, self.classes, self.seed).macs_per_inference()
+    }
+}
+
 /// The result of evaluating one multiplier.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyReport {

@@ -157,7 +157,9 @@ impl MultiplierCircuit {
     /// Multiplies two operands by actually simulating the netlist.
     ///
     /// This is the ground-truth semantics of the circuit (exact or
-    /// approximate); [`crate::LutMultiplier`] caches it.
+    /// approximate); [`crate::LutMultiplier`] caches it. It runs the
+    /// scalar [`Netlist::eval_bits`] reference, not the compiled
+    /// simulator the table is built with.
     ///
     /// # Panics
     ///
@@ -165,20 +167,13 @@ impl MultiplierCircuit {
     pub fn multiply_via_netlist(&self, a: u32, b: u32) -> u64 {
         let n = self.width;
         assert!(a < (1 << n) && b < (1 << n), "operands must fit {n} bits");
-        let mut words = Vec::with_capacity(2 * n as usize);
-        for bit in 0..n {
-            words.push(if (a >> bit) & 1 == 1 { u64::MAX } else { 0 });
-        }
-        for bit in 0..n {
-            words.push(if (b >> bit) & 1 == 1 { u64::MAX } else { 0 });
-        }
-        let sim = carma_netlist::LaneSim::new(&self.netlist);
-        let out = sim.eval(&words);
-        let mut p = 0u64;
-        for (k, w) in out.iter().enumerate() {
-            p |= (w & 1) << k;
-        }
-        p
+        let operand_bits = |x: u32| (0..n).map(move |bit| (x >> bit) & 1 == 1);
+        let inputs: Vec<bool> = operand_bits(a).chain(operand_bits(b)).collect();
+        self.netlist
+            .eval_bits(&inputs)
+            .iter()
+            .enumerate()
+            .fold(0, |p, (k, &bit)| p | u64::from(bit) << k)
     }
 }
 

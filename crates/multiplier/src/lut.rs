@@ -9,7 +9,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use carma_netlist::sim::{unpack_lane, WORD_LANES};
 use carma_netlist::LaneSim;
 
 use crate::exact::MultiplierCircuit;
@@ -67,8 +66,9 @@ impl Multiplier for ExactMultiplier {
 /// A multiplier backed by a fully materialized lookup table.
 ///
 /// The table is built by lane-simulating the circuit over all
-/// `2^(2n)` operand pairs (for 8-bit units: 65 536 entries, 1 024 lane
-/// evaluations). The table is shared via [`Arc`] so cloning is cheap.
+/// `2^(2n)` operand pairs (for 8-bit units: 65 536 entries, one
+/// [`LaneSim::sweep`] of 128 eight-word tape passes). The table is
+/// shared via [`Arc`] so cloning is cheap.
 ///
 /// ```
 /// use carma_multiplier::exact::{MultiplierCircuit, ReductionKind};
@@ -87,8 +87,8 @@ pub struct LutMultiplier {
 
 impl LutMultiplier {
     /// Width (bits) up to which a full table is feasible (2^(2·12)
-    /// entries = 64 Mi entries; beyond that, compile-time and memory
-    /// explode).
+    /// entries = 16 Mi entries, 64 MiB as `u32`; beyond that,
+    /// compile-time and memory explode).
     pub const MAX_WIDTH: u32 = 12;
 
     /// Compiles `circuit` into a lookup table.
@@ -105,10 +105,9 @@ impl LutMultiplier {
         );
         // Entry `(b << n) | a` is the pair's sweep assignment index.
         let mut table = vec![0u32; 1 << (2 * n)];
-        LaneSim::new(circuit.netlist()).sweep(0..table.len() as u64, |first, out| {
-            let word = table[first as usize..].iter_mut().take(WORD_LANES);
-            for (lane, entry) in word.enumerate() {
-                *entry = unpack_lane(out, lane) as u32;
+        LaneSim::new(circuit.netlist()).sweep(0..table.len() as u64, |first, lanes| {
+            for (entry, &product) in table[first as usize..].iter_mut().zip(lanes) {
+                *entry = product as u32;
             }
         });
         LutMultiplier {

@@ -24,114 +24,159 @@ use crate::gate::{BinOp, UnOp};
 
 use super::{Driver, ImportError, ModuleGraph};
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
     /// `1'b0` / `1'b1`.
     Literal(bool),
     Punct(char),
 }
 
-fn lex(text: &str) -> Result<Vec<(Tok, usize)>, ImportError> {
-    let mut toks = Vec::new();
-    let mut line = 1usize;
-    let bytes = text.as_bytes();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            '\n' => {
-                line += 1;
-                i += 1;
-            }
-            c if c.is_ascii_whitespace() => i += 1,
-            '/' if bytes.get(i + 1) == Some(&b'/') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
+/// Streaming tokenizer: yields each token with its line, borrowing
+/// identifiers from the text, so no token list is ever materialized.
+struct Lexer<'a> {
+    text: &'a str,
+    i: usize,
+    line: usize,
+}
+
+impl<'a> Lexer<'a> {
+    fn new(text: &'a str) -> Self {
+        Lexer {
+            text,
+            i: 0,
+            line: 1,
+        }
+    }
+
+    /// The error at `line`; the lexer yields nothing after it.
+    fn fail(&mut self, line: usize, message: impl Into<String>) -> ImportError {
+        self.i = self.text.len();
+        ImportError::at(line, message)
+    }
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Result<(Tok<'a>, usize), ImportError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let bytes = self.text.as_bytes();
+        while self.i < bytes.len() {
+            let i = self.i;
+            let c = bytes[i] as char;
+            match c {
+                '\n' => {
+                    self.line += 1;
+                    self.i += 1;
                 }
-            }
-            '/' if bytes.get(i + 1) == Some(&b'*') => {
-                let start = line;
-                i += 2;
-                loop {
-                    if i + 1 >= bytes.len() {
-                        return Err(ImportError::at(start, "unterminated block comment"));
+                c if c.is_ascii_whitespace() => self.i += 1,
+                '/' if bytes.get(i + 1) == Some(&b'/') => {
+                    while self.i < bytes.len() && bytes[self.i] != b'\n' {
+                        self.i += 1;
                     }
-                    if bytes[i] == b'\n' {
-                        line += 1;
-                    }
-                    if bytes[i] == b'*' && bytes[i + 1] == b'/' {
-                        i += 2;
-                        break;
-                    }
-                    i += 1;
                 }
-            }
-            '(' | ')' | ',' | ';' | '=' => {
-                toks.push((Tok::Punct(c), line));
-                i += 1;
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_alphanumeric()
-                        || bytes[i] == b'_'
-                        || bytes[i] == b'$')
-                {
-                    i += 1;
+                '/' if bytes.get(i + 1) == Some(&b'*') => {
+                    let start = self.line;
+                    self.i += 2;
+                    loop {
+                        if self.i + 1 >= bytes.len() {
+                            return Some(Err(self.fail(start, "unterminated block comment")));
+                        }
+                        if bytes[self.i] == b'\n' {
+                            self.line += 1;
+                        }
+                        if bytes[self.i] == b'*' && bytes[self.i + 1] == b'/' {
+                            self.i += 2;
+                            break;
+                        }
+                        self.i += 1;
+                    }
                 }
-                toks.push((Tok::Ident(text[start..i].to_string()), line));
-            }
-            c if c.is_ascii_digit() => {
-                // Only the single-bit literals 1'b0 / 1'b1 are legal.
-                let rest = &bytes[i..];
-                if rest.len() >= 4 && &rest[..3] == b"1'b" && (rest[3] == b'0' || rest[3] == b'1') {
-                    toks.push((Tok::Literal(rest[3] == b'1'), line));
-                    i += 4;
-                } else {
-                    return Err(ImportError::at(
+                '(' | ')' | ',' | ';' | '=' => {
+                    self.i += 1;
+                    return Some(Ok((Tok::Punct(c), self.line)));
+                }
+                c if c.is_ascii_alphabetic() || c == '_' => {
+                    while self.i < bytes.len()
+                        && ((bytes[self.i] as char).is_ascii_alphanumeric()
+                            || bytes[self.i] == b'_'
+                            || bytes[self.i] == b'$')
+                    {
+                        self.i += 1;
+                    }
+                    return Some(Ok((Tok::Ident(&self.text[i..self.i]), self.line)));
+                }
+                c if c.is_ascii_digit() => {
+                    // Only the single-bit literals 1'b0 / 1'b1 are legal.
+                    let rest = &bytes[i..];
+                    if rest.len() >= 4
+                        && &rest[..3] == b"1'b"
+                        && (rest[3] == b'0' || rest[3] == b'1')
+                    {
+                        self.i += 4;
+                        return Some(Ok((Tok::Literal(rest[3] == b'1'), self.line)));
+                    }
+                    let line = self.line;
+                    return Some(Err(self.fail(
                         line,
                         "unsupported literal (only 1'b0 and 1'b1 are accepted)",
+                    )));
+                }
+                other => {
+                    let line = self.line;
+                    return Some(Err(
+                        self.fail(line, format!("unexpected character `{other}`"))
                     ));
                 }
             }
-            other => {
-                return Err(ImportError::at(
-                    line,
-                    format!("unexpected character `{other}`"),
-                ));
-            }
         }
+        None
     }
-    Ok(toks)
 }
 
-/// Cursor over the token stream with line-aware errors.
+/// Cursor over the token stream with line-aware errors and one token
+/// of lookahead. The text must already have lexed without error.
 struct Cursor<'a> {
-    toks: &'a [(Tok, usize)],
-    pos: usize,
+    lexer: Lexer<'a>,
+    peeked: Option<(Tok<'a>, usize)>,
+    /// Line of the last token lexed (0 before the first).
+    last_line: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn peek(&self) -> Option<&'a Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
+    fn new(text: &'a str) -> Self {
+        Cursor {
+            lexer: Lexer::new(text),
+            peeked: None,
+            last_line: 0,
+        }
     }
 
-    fn line(&self) -> usize {
-        self.toks
-            .get(self.pos)
-            .or_else(|| self.toks.last())
-            .map_or(0, |(_, l)| *l)
-    }
-
-    fn next(&mut self, what: &str) -> Result<&'a Tok, ImportError> {
-        match self.toks.get(self.pos) {
-            Some((t, _)) => {
-                self.pos += 1;
-                Ok(t)
+    fn peek(&mut self) -> Option<Tok<'a>> {
+        if self.peeked.is_none() {
+            self.peeked = self
+                .lexer
+                .next()
+                .map(|tok| tok.expect("the text lexed without error before parsing"));
+            if let Some((_, line)) = self.peeked {
+                self.last_line = line;
             }
+        }
+        self.peeked.map(|(t, _)| t)
+    }
+
+    /// Line of the next token, or of the last one at the end of input.
+    fn line(&mut self) -> usize {
+        self.peek();
+        self.peeked.map_or(self.last_line, |(_, l)| l)
+    }
+
+    fn next(&mut self, what: &str) -> Result<Tok<'a>, ImportError> {
+        self.peek();
+        match self.peeked.take() {
+            Some((t, _)) => Ok(t),
             None => Err(ImportError::at(
-                self.toks.last().map_or(0, |(_, l)| *l),
+                self.last_line,
                 format!("unexpected end of input, expected {what}"),
             )),
         }
@@ -140,7 +185,7 @@ impl<'a> Cursor<'a> {
     fn ident(&mut self, what: &str) -> Result<String, ImportError> {
         let line = self.line();
         match self.next(what)? {
-            Tok::Ident(s) => Ok(s.clone()),
+            Tok::Ident(s) => Ok(s.to_string()),
             other => Err(ImportError::at(
                 line,
                 format!("expected {what}, found {other:?}"),
@@ -151,7 +196,7 @@ impl<'a> Cursor<'a> {
     fn punct(&mut self, c: char) -> Result<(), ImportError> {
         let line = self.line();
         match self.next(&format!("`{c}`"))? {
-            Tok::Punct(p) if *p == c => Ok(()),
+            Tok::Punct(p) if p == c => Ok(()),
             other => Err(ImportError::at(
                 line,
                 format!("expected `{c}`, found {other:?}"),
@@ -199,11 +244,10 @@ fn unop_of(name: &str) -> Option<UnOp> {
 }
 
 pub(crate) fn parse_modules(text: &str) -> Result<Vec<ModuleGraph>, ImportError> {
-    let toks = lex(text)?;
-    let mut cur = Cursor {
-        toks: &toks,
-        pos: 0,
-    };
+    // A lexical error wins over any parse error, wherever it sits, so
+    // the text is lexed once up front and then streamed again.
+    Lexer::new(text).try_for_each(|tok| tok.map(drop))?;
+    let mut cur = Cursor::new(text);
     let mut modules = Vec::new();
     while cur.peek().is_some() {
         modules.push(parse_module(&mut cur)?);
@@ -225,9 +269,9 @@ fn parse_module(cur: &mut Cursor<'_>) -> Result<ModuleGraph, ImportError> {
     let name = cur.ident("a module name")?;
     cur.punct('(')?;
     let mut header: Vec<String> = Vec::new();
-    if cur.peek() != Some(&Tok::Punct(')')) {
+    if cur.peek() != Some(Tok::Punct(')')) {
         header.push(cur.ident("a port name")?);
-        while cur.peek() == Some(&Tok::Punct(',')) {
+        while cur.peek() == Some(Tok::Punct(',')) {
             cur.punct(',')?;
             header.push(cur.ident("a port name")?);
         }
@@ -288,9 +332,9 @@ fn parse_module(cur: &mut Cursor<'_>) -> Result<ModuleGraph, ImportError> {
                 let driver = match cur.next("a net name or literal")? {
                     Tok::Ident(rhs) => {
                         check_declared(&declared, rhs, rhs_line)?;
-                        Driver::Alias(rhs.clone())
+                        Driver::Alias(rhs.to_string())
                     }
-                    Tok::Literal(v) => Driver::Const(*v),
+                    Tok::Literal(v) => Driver::Const(v),
                     other => {
                         return Err(ImportError::at(
                             rhs_line,
@@ -493,6 +537,12 @@ endmodule
             err_of("module m (y); output y; assign y = 2'b10; endmodule")
                 .contains("unsupported literal")
         );
+    }
+
+    #[test]
+    fn a_lexical_error_wins_over_an_earlier_parse_error() {
+        let msg = err_of("module m (a, y);\n  foo g (y, a);\n  assign y = 2'b10;\nendmodule");
+        assert!(msg.starts_with("line 3: unsupported literal"), "{msg}");
     }
 
     #[test]

@@ -581,8 +581,10 @@ impl Netlist {
     /// Evaluates the netlist on a single boolean input assignment,
     /// returning output values in declaration order.
     ///
-    /// Convenience wrapper over the lane simulator for tests and small
-    /// circuits; for exhaustive sweeps use [`crate::LaneSim`].
+    /// A scalar interpreter that walks the node list one gate at a
+    /// time, independent of the compiled [`crate::LaneSim`] tape: it is
+    /// the reference the tape is tested against. For sweeps use
+    /// [`crate::LaneSim`].
     ///
     /// # Panics
     ///
@@ -595,10 +597,24 @@ impl Netlist {
             self.inputs.len(),
             inputs.len()
         );
-        let words: Vec<u64> = inputs.iter().map(|&b| if b { 1 } else { 0 }).collect();
-        let sim = crate::sim::LaneSim::new(self);
-        let out = sim.eval(&words);
-        out.iter().map(|&w| w & 1 == 1).collect()
+        let mut next_input = inputs.iter();
+        let mut values: Vec<bool> = Vec::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            let value = match node {
+                Node::Input { .. } => *next_input.next().expect("one value per input"),
+                Node::Const { value } => *value,
+                Node::Unary { op, a } => op.apply(u64::from(values[a.index()])) & 1 == 1,
+                Node::Binary { op, a, b } => {
+                    let (a, b) = (values[a.index()], values[b.index()]);
+                    op.apply(u64::from(a), u64::from(b)) & 1 == 1
+                }
+            };
+            values.push(value);
+        }
+        self.outputs
+            .iter()
+            .map(|(_, id)| values[id.index()])
+            .collect()
     }
 }
 
