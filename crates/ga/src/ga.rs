@@ -256,6 +256,7 @@ impl<P: Problem> GeneticAlgorithm<P> {
     /// one-result-per-genome contract.
     fn evaluate_all(&self, genomes: Vec<P::Genome>) -> Vec<Individual<P::Genome>> {
         let _span = carma_trace::span!("ga.eval_batch", "n={}", genomes.len());
+        carma_trace::counter("ga.evals", genomes.len() as u64);
         let evaluations = self.problem.evaluate_batch(&genomes);
         assert_eq!(
             evaluations.len(),

@@ -255,6 +255,7 @@ impl<P: MultiObjectiveProblem> Nsga2<P> {
     /// one-result-per-genome contract.
     fn evaluate_all(&self, genomes: Vec<P::Genome>) -> Vec<Member<P::Genome>> {
         let _span = carma_trace::span!("nsga2.eval_batch", "n={}", genomes.len());
+        carma_trace::counter("nsga2.evals", genomes.len() as u64);
         let objectives = self.problem.evaluate_batch(&genomes);
         assert_eq!(
             objectives.len(),

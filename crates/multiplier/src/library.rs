@@ -6,10 +6,12 @@
 //! family of named units from which the accelerator-level GA later
 //! picks.
 
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use carma_ga::{MultiObjectiveProblem, Nsga2, Nsga2Config};
-use carma_netlist::ImportFormat;
+use carma_netlist::{ImportFormat, Node, NodeId};
 use rand::{Rng, RngExt};
 
 use crate::approx::{ApproxGenome, Prune, PruneAction};
@@ -143,11 +145,11 @@ pub struct LibraryConfig {
     /// NSGA-II hyper-parameters.
     pub nsga: Nsga2Config,
     /// Statically pre-screen every Pareto-front circuit with
-    /// [`prescreen_circuit`] before spending exhaustive
-    /// characterization time on it. Rejections are structural defects
-    /// (port-convention or validity violations) that no recipe-derived
-    /// circuit should exhibit, so the flag changes results only when
-    /// something is genuinely broken.
+    /// [`prescreen_circuit`] and leave out the ones it rejects.
+    /// Rejections are structural defects (port-convention or validity
+    /// violations) that no recipe-derived circuit should exhibit, so
+    /// the flag changes results only when something is genuinely
+    /// broken.
     pub prescreen: bool,
 }
 
@@ -289,36 +291,38 @@ impl MultiplierLibrary {
             "evolved library needs width in 1..=10"
         );
         let base = MultiplierCircuit::generate(config.width, config.kind);
-        let problem = ApproxSearch {
-            base: base.clone(),
-            config,
-        };
-        let front = Nsga2::new(problem, config.nsga).run();
+        let search = Nsga2::new(ApproxSearch::new(base.clone(), config), config.nsga);
+        let front = search.run();
 
-        // Static pre-screen: drop structurally defective candidates
-        // (a cheap sweep + lint each) before spending exhaustive
-        // characterization time on them.
-        let front: Vec<_> = front
-            .into_iter()
-            .filter(|p| !config.prescreen || prescreen_circuit(&p.genome.apply(&base)).is_ok())
-            .collect();
-
-        // Re-characterize the whole front in parallel (the NSGA-II run
-        // cached only objective values, not profiles).
-        let characterized = carma_exec::par_map_indexed(&front, |i, p| {
+        // Rebuild each member's circuit from its own genome (names and
+        // recipes follow the genome) and drop structurally defective
+        // ones under the static pre-screen.
+        let circuits = carma_exec::par_map(&front, |p| {
             let circuit = p.genome.apply(&base);
-            let profile = ErrorProfile::exhaustive(&circuit);
-            MultiplierEntry {
-                name: format!("carma{}_{i:03}", config.width),
-                circuit,
-                recipe: CircuitRecipe::Genome(p.genome.clone()),
-                profile,
-            }
+            (!config.prescreen || prescreen_circuit(&circuit).is_ok()).then_some(circuit)
         });
+        // Every member was swept during the search: its profile is in
+        // the search's memo.
+        let profiles = search.problem().profiles.borrow();
         let mut entries = vec![exact_entry(&base, config.width)];
-        // Functionally exact (re)discoveries of the base are skipped;
-        // the canonical exact entry is already present.
-        entries.extend(characterized.into_iter().filter(|e| e.profile.mred > 0.0));
+        entries.extend(
+            front
+                .into_iter()
+                .zip(circuits)
+                .filter_map(|(p, circuit)| circuit.map(|circuit| (p.genome, circuit)))
+                .enumerate()
+                .map(|(i, (genome, circuit))| MultiplierEntry {
+                    name: format!("carma{}_{i:03}", config.width),
+                    profile: *profiles
+                        .get(&CircuitKey::of(&circuit))
+                        .expect("the search swept every front member"),
+                    circuit,
+                    recipe: CircuitRecipe::Genome(genome),
+                })
+                // Functionally exact (re)discoveries of the base are
+                // skipped; the canonical exact entry is already present.
+                .filter(|e| e.profile.mred > 0.0),
+        );
         Self::from_entries(config.width, entries)
     }
 
@@ -499,15 +503,67 @@ fn characterize(
     })
 }
 
+/// The exact structure of a circuit: one packed word per node (its
+/// kind in the top four bits, then two 30-bit operand ids), then one
+/// word per output id. Kinds: input 0, constants 1–2, unary gates 3–4,
+/// binary gates 5–10, outputs 11. Port names and the netlist name are
+/// left out: a sweep binds ports by position, and the name records the
+/// genome rather than the circuit. Equal keys therefore mean equal
+/// transistor counts and equal error profiles.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct CircuitKey(Box<[u64]>);
+
+impl CircuitKey {
+    const ID_BITS: u32 = 30;
+    const OUTPUT: u64 = 11;
+
+    fn of(circuit: &MultiplierCircuit) -> Self {
+        let id = |n: NodeId| {
+            let i = n.index() as u64;
+            assert!(
+                i < 1 << Self::ID_BITS,
+                "node id {i} overflows a circuit key"
+            );
+            i
+        };
+        let word = |kind: u64, a: u64, b: u64| kind << (2 * Self::ID_BITS) | a << Self::ID_BITS | b;
+        let netlist = circuit.netlist();
+        let nodes = netlist.nodes().iter().map(|node| match *node {
+            Node::Input { .. } => word(0, 0, 0),
+            Node::Const { value } => word(1 + u64::from(value), 0, 0),
+            Node::Unary { op, a } => word(3 + op as u64, id(a), 0),
+            Node::Binary { op, a, b } => word(5 + op as u64, id(a), id(b)),
+        });
+        let outputs = netlist
+            .output_ports()
+            .iter()
+            .map(|&(_, n)| word(Self::OUTPUT, 0, id(n)));
+        CircuitKey(nodes.chain(outputs).collect())
+    }
+}
+
 /// The NSGA-II problem: minimize (transistors, MRED) over
 /// [`ApproxGenome`]s.
 #[derive(Debug)]
 struct ApproxSearch {
     base: MultiplierCircuit,
     config: LibraryConfig,
+    /// The profile of every distinct circuit this search has swept.
+    /// Offspring often rebuild a circuit an earlier generation (or an
+    /// earlier genome of their batch) already built, so each is swept
+    /// once. It lives as long as one [`MultiplierLibrary::evolve`].
+    profiles: RefCell<HashMap<CircuitKey, ErrorProfile>>,
 }
 
 impl ApproxSearch {
+    fn new(base: MultiplierCircuit, config: LibraryConfig) -> Self {
+        ApproxSearch {
+            base,
+            config,
+            profiles: RefCell::default(),
+        }
+    }
+
     fn gate_count(&self) -> u32 {
         self.base.netlist().gate_ids().len() as u32
     }
@@ -609,9 +665,30 @@ impl MultiObjectiveProblem for ApproxSearch {
     }
 
     fn evaluate_batch(&self, genomes: &[ApproxGenome]) -> Vec<Vec<f64>> {
-        // One genome's netlist sweep + error characterization is the
-        // whole cost of the library search; fan the generation out.
-        carma_ga::par_evaluate_multi(self, genomes)
+        // Sweeping a circuit is the whole cost of the library search,
+        // so each distinct circuit is swept once: apply every genome,
+        // then sweep only the first occurrence of each circuit the
+        // memo does not hold yet, fanned out on the pool.
+        let base = &self.base;
+        let built = carma_exec::par_map(genomes, |g| {
+            let circuit = g.apply(base);
+            let key = CircuitKey::of(&circuit);
+            (circuit, key)
+        });
+        let mut profiles = self.profiles.borrow_mut();
+        let mut queued = HashSet::new();
+        let first: Vec<usize> = (0..built.len())
+            .filter(|&i| !profiles.contains_key(&built[i].1) && queued.insert(&built[i].1))
+            .collect();
+        let swept = carma_exec::par_map(&first, |&i| ErrorProfile::exhaustive(&built[i].0));
+        for (&i, profile) in first.iter().zip(swept) {
+            let previous = profiles.insert(built[i].1.clone(), profile);
+            debug_assert!(previous.is_none(), "each circuit is swept once");
+        }
+        built
+            .iter()
+            .map(|(circuit, key)| vec![circuit.transistor_count() as f64, profiles[key].mred])
+            .collect()
     }
 }
 
@@ -698,6 +775,119 @@ mod tests {
             .iter()
             .any(|e| e.transistors() < exact.transistors());
         assert!(cheaper, "no entry cheaper than exact");
+    }
+
+    /// The quick-scale evolved search (NSGA-II 16 × 6, seed `0xFA31`,
+    /// truncation up to 4).
+    fn quick_config() -> LibraryConfig {
+        LibraryConfig {
+            nsga: Nsga2Config::default()
+                .with_population(16)
+                .with_generations(6)
+                .with_seed(0xFA31),
+            ..LibraryConfig::default()
+        }
+    }
+
+    /// An [`ApproxSearch`] that records every genome it evaluates.
+    struct Recording {
+        search: ApproxSearch,
+        evaluated: RefCell<Vec<ApproxGenome>>,
+    }
+
+    impl MultiObjectiveProblem for Recording {
+        type Genome = ApproxGenome;
+
+        fn objectives(&self) -> usize {
+            self.search.objectives()
+        }
+
+        fn random_genome(&self, rng: &mut dyn Rng) -> ApproxGenome {
+            self.search.random_genome(rng)
+        }
+
+        fn crossover(&self, a: &ApproxGenome, b: &ApproxGenome, rng: &mut dyn Rng) -> ApproxGenome {
+            self.search.crossover(a, b, rng)
+        }
+
+        fn mutate(&self, g: &mut ApproxGenome, rng: &mut dyn Rng) {
+            self.search.mutate(g, rng);
+        }
+
+        fn evaluate(&self, g: &ApproxGenome) -> Vec<f64> {
+            self.search.evaluate(g)
+        }
+
+        fn evaluate_batch(&self, genomes: &[ApproxGenome]) -> Vec<Vec<f64>> {
+            self.evaluated.borrow_mut().extend_from_slice(genomes);
+            self.search.evaluate_batch(genomes)
+        }
+    }
+
+    /// Runs the quick search; returns every genome it evaluated and
+    /// the memo it left behind.
+    fn quick_search() -> (Vec<ApproxGenome>, HashMap<CircuitKey, ErrorProfile>) {
+        let config = quick_config();
+        let base = MultiplierCircuit::generate(config.width, config.kind);
+        let recording = Recording {
+            search: ApproxSearch::new(base, config),
+            evaluated: RefCell::default(),
+        };
+        let nsga = Nsga2::new(recording, config.nsga);
+        nsga.run();
+        let recording = nsga.problem();
+        (recording.evaluated.take(), recording.search.profiles.take())
+    }
+
+    #[test]
+    fn memo_sweeps_each_distinct_circuit_once() {
+        let config = quick_config();
+        let base = MultiplierCircuit::generate(config.width, config.kind);
+        // Two distinct genomes the quick search mapped to one circuit.
+        let (evaluated, _) = quick_search();
+        let mut first_of: HashMap<CircuitKey, &ApproxGenome> = HashMap::new();
+        let (h1, h2) = evaluated
+            .iter()
+            .find_map(|g| {
+                let first = *first_of.entry(CircuitKey::of(&g.apply(&base))).or_insert(g);
+                (first != g).then(|| (first.clone(), g.clone()))
+            })
+            .expect("the quick search builds one circuit from two genomes");
+        let g = ApproxGenome::truncation(2, 3);
+        assert_ne!(
+            CircuitKey::of(&g.apply(&base)),
+            CircuitKey::of(&h1.apply(&base))
+        );
+
+        let search = ApproxSearch::new(base.clone(), config);
+        let batch = [g.clone(), g, h1, h2];
+        let objectives = search.evaluate_batch(&batch);
+        assert_eq!(search.profiles.borrow().len(), 2, "one sweep per circuit");
+        for (genome, objective) in batch.iter().zip(&objectives) {
+            let circuit = genome.apply(&base);
+            let fresh = ErrorProfile::exhaustive(&circuit);
+            assert_eq!(
+                *objective,
+                vec![circuit.transistor_count() as f64, fresh.mred]
+            );
+            assert_eq!(search.profiles.borrow()[&CircuitKey::of(&circuit)], fresh);
+        }
+        // A later batch reads known circuits from the memo.
+        assert_eq!(search.evaluate_batch(&batch[2..]), objectives[2..]);
+        assert_eq!(search.profiles.borrow().len(), 2);
+    }
+
+    #[test]
+    fn quick_search_sweeps_70_circuits_for_112_evaluations() {
+        for threads in [1, 8] {
+            let (evaluated, profiles) = carma_exec::with_threads(threads, quick_search);
+            assert_eq!(evaluated.len(), 16 * (6 + 1), "at {threads} threads");
+            assert_eq!(profiles.len(), 70, "at {threads} threads");
+            // One word per node keeps the memo small (about 110 KiB).
+            let bytes = profiles.keys().map(|k| 8 * k.0.len()).sum::<usize>()
+                + profiles.capacity() * std::mem::size_of::<(CircuitKey, ErrorProfile)>();
+            assert!(bytes < 150 << 10, "the memo holds {bytes} bytes");
+        }
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl Multiplier for ExactMultiplier {
 pub struct LutMultiplier {
     width: u32,
     name: String,
-    table: Arc<[u32]>,
+    table: Arc<Vec<u32>>,
 }
 
 impl LutMultiplier {
@@ -103,17 +103,20 @@ impl LutMultiplier {
             "LUT compilation supports width ≤ {}, got {n}",
             Self::MAX_WIDTH
         );
-        // Entry `(b << n) | a` is the pair's sweep assignment index.
-        let mut table = vec![0u32; 1 << (2 * n)];
-        LaneSim::new(circuit.netlist()).sweep(0..table.len() as u64, |first, lanes| {
-            for (entry, &product) in table[first as usize..].iter_mut().zip(lanes) {
-                *entry = product as u32;
-            }
+        // Entry `(b << n) | a` is the pair's sweep assignment index;
+        // the sweep hands the assignments over in index order, so the
+        // table is written once, into its final allocation.
+        let entries = 1 << (2 * n);
+        let mut table = Vec::with_capacity(entries);
+        LaneSim::new(circuit.netlist()).sweep(0..entries as u64, |first, lanes| {
+            debug_assert_eq!(first as usize, table.len());
+            let live = lanes.len().min(entries - table.len());
+            table.extend(lanes[..live].iter().map(|&product| product as u32));
         });
         LutMultiplier {
             width: n,
             name: circuit.netlist().name().to_string(),
-            table: table.into(),
+            table: Arc::new(table),
         }
     }
 }
@@ -306,7 +309,7 @@ impl LutMultiplier {
         Ok(LutMultiplier {
             width,
             name,
-            table: table.into(),
+            table: Arc::new(table),
         })
     }
 }

@@ -40,31 +40,32 @@ use super::{Driver, ImportError, ModuleGraph};
 // s-expression layer
 // ---------------------------------------------------------------------------
 
+/// An s-expression whose atoms borrow from the parsed text.
 #[derive(Debug, Clone)]
-enum Sexp {
-    Atom(String, usize),
-    List(Vec<Sexp>, usize),
+enum Sexp<'a> {
+    Atom(&'a str, usize),
+    List(Box<[Sexp<'a>]>, usize),
 }
 
-impl Sexp {
+impl<'a> Sexp<'a> {
     fn line(&self) -> usize {
         match self {
             Sexp::Atom(_, l) | Sexp::List(_, l) => *l,
         }
     }
 
-    /// The head keyword of a list, lower-cased (`(port a0 ...)` → `port`).
-    fn head(&self) -> Option<String> {
+    /// Whether this is a list headed by `keyword` (lower-case), in any
+    /// case: `(portRef a0)` is a `portref`.
+    fn is(&self, keyword: &str) -> bool {
         match self {
-            Sexp::List(items, _) => match items.first() {
-                Some(Sexp::Atom(s, _)) => Some(s.to_ascii_lowercase()),
-                _ => None,
-            },
-            Sexp::Atom(..) => None,
+            Sexp::List(items, _) => {
+                matches!(items.first(), Some(Sexp::Atom(s, _)) if s.eq_ignore_ascii_case(keyword))
+            }
+            Sexp::Atom(..) => false,
         }
     }
 
-    fn atom(&self) -> Option<&str> {
+    fn atom(&self) -> Option<&'a str> {
         match self {
             Sexp::Atom(s, _) => Some(s),
             Sexp::List(..) => None,
@@ -72,7 +73,7 @@ impl Sexp {
     }
 
     /// Children after the head keyword.
-    fn rest(&self) -> &[Sexp] {
+    fn rest(&self) -> &[Sexp<'a>] {
         match self {
             Sexp::List(items, _) if !items.is_empty() => &items[1..],
             _ => &[],
@@ -80,14 +81,12 @@ impl Sexp {
     }
 
     /// First child list with the given head keyword.
-    fn find(&self, keyword: &str) -> Option<&Sexp> {
-        self.rest()
-            .iter()
-            .find(|s| s.head().as_deref() == Some(keyword))
+    fn find(&self, keyword: &str) -> Option<&Sexp<'a>> {
+        self.rest().iter().find(|s| s.is(keyword))
     }
 }
 
-fn lex_sexp(text: &str) -> Result<Vec<Sexp>, ImportError> {
+fn lex_sexp(text: &str) -> Result<Vec<Sexp<'_>>, ImportError> {
     // Stack of open lists; the bottom collects top-level expressions.
     let mut stack: Vec<(Vec<Sexp>, usize)> = vec![(Vec::new(), 0)];
     let mut line = 1usize;
@@ -116,11 +115,14 @@ fn lex_sexp(text: &str) -> Result<Vec<Sexp>, ImportError> {
                 if stack.is_empty() {
                     return Err(ImportError::at(line, "unbalanced `)`"));
                 }
+                // Boxed to its exact length: most lists hold two or
+                // three items, so a `Vec`'s spare capacity would
+                // dominate the tree.
                 stack
                     .last_mut()
                     .expect("checked non-empty")
                     .0
-                    .push(Sexp::List(items, open_line));
+                    .push(Sexp::List(items.into_boxed_slice(), open_line));
                 i += 1;
             }
             '"' => {
@@ -140,7 +142,7 @@ fn lex_sexp(text: &str) -> Result<Vec<Sexp>, ImportError> {
                     .last_mut()
                     .expect("non-empty")
                     .0
-                    .push(Sexp::Atom(text[begin..i].to_string(), start_line));
+                    .push(Sexp::Atom(&text[begin..i], start_line));
                 i += 1;
             }
             _ => {
@@ -156,7 +158,7 @@ fn lex_sexp(text: &str) -> Result<Vec<Sexp>, ImportError> {
                     .last_mut()
                     .expect("non-empty")
                     .0
-                    .push(Sexp::Atom(text[begin..i].to_string(), line));
+                    .push(Sexp::Atom(&text[begin..i], line));
             }
         }
     }
@@ -221,15 +223,15 @@ pub(crate) fn parse_modules(text: &str) -> Result<Vec<ModuleGraph>, ImportError>
     let tops = lex_sexp(text)?;
     let edif = tops
         .iter()
-        .find(|s| s.head().as_deref() == Some("edif"))
+        .find(|s| s.is("edif"))
         .ok_or_else(|| ImportError::at(0, "no (edif ...) form found"))?;
     let mut modules = Vec::new();
     for library in edif.rest() {
-        if library.head().as_deref() != Some("library") {
+        if !library.is("library") {
             continue;
         }
         for cell in library.rest() {
-            if cell.head().as_deref() != Some("cell") {
+            if !cell.is("cell") {
                 continue;
             }
             if let Some(graph) = parse_cell(cell)? {
@@ -256,11 +258,8 @@ fn parse_cell(cell: &Sexp) -> Result<Option<ModuleGraph>, ImportError> {
         return Ok(None);
     };
     let contents = view.find("contents");
-    let has_body = contents.is_some_and(|c| {
-        c.rest()
-            .iter()
-            .any(|s| matches!(s.head().as_deref(), Some("instance" | "net")))
-    });
+    let has_body =
+        contents.is_some_and(|c| c.rest().iter().any(|s| s.is("instance") || s.is("net")));
     if !has_body {
         return Ok(None);
     }
@@ -273,7 +272,7 @@ fn parse_cell(cell: &Sexp) -> Result<Option<ModuleGraph>, ImportError> {
     let mut outputs = Vec::new();
     let mut port_dir: HashMap<String, bool> = HashMap::new();
     for port in interface.rest() {
-        if port.head().as_deref() != Some("port") {
+        if !port.is("port") {
             continue;
         }
         let pline = port.line();
@@ -315,7 +314,7 @@ fn parse_cell(cell: &Sexp) -> Result<Option<ModuleGraph>, ImportError> {
     // instance name -> (primitive, line)
     let mut instances: HashMap<String, (Prim, usize)> = HashMap::new();
     for item in contents.rest() {
-        if item.head().as_deref() != Some("instance") {
+        if !item.is("instance") {
             continue;
         }
         let iline = item.line();
@@ -360,7 +359,7 @@ fn parse_cell(cell: &Sexp) -> Result<Option<ModuleGraph>, ImportError> {
     let mut net_names: Vec<(String, usize)> = Vec::new();
 
     for item in contents.rest() {
-        if item.head().as_deref() != Some("net") {
+        if !item.is("net") {
             continue;
         }
         let nline = item.line();
@@ -381,7 +380,7 @@ fn parse_cell(cell: &Sexp) -> Result<Option<ModuleGraph>, ImportError> {
             .find("joined")
             .ok_or_else(|| ImportError::at(nline, format!("net `{nname}` has no joined list")))?;
         for port_ref in joined.rest() {
-            if port_ref.head().as_deref() != Some("portref") {
+            if !port_ref.is("portref") {
                 return Err(ImportError::at(
                     port_ref.line(),
                     format!("net `{nname}`: expected (portRef ...)"),

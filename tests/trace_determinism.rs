@@ -11,6 +11,8 @@
 //! - a context miss explains its time: the accuracy reference pass and
 //!   the library pass are child spans of `memo.context`, and the
 //!   `dnn.macs` counter records the work they did.
+//! - the GA engines count their genome evaluations at the source:
+//!   `nsga2.evals` and `ga.evals` equal what the run's budgets imply.
 
 use std::sync::Arc;
 
@@ -146,10 +148,58 @@ fn context_miss_has_accuracy_child_spans_and_a_mac_counter() {
         .count() as u64;
     let expected =
         misses.len() as u64 * per_inference * evaluator.samples as u64 * (approximate + 1);
-    let counted = trace
+    assert_eq!(
+        counted(&trace, "dnn.macs"),
+        Some(expected),
+        "dnn.macs counter"
+    );
+}
+
+/// The value of counter `name` in `trace` (`None` if never counted).
+fn counted(trace: &carma_trace::Trace, name: &str) -> Option<u64> {
+    trace
         .counters
         .iter()
-        .find(|(name, _)| *name == "dnn.macs")
-        .map(|&(_, v)| v);
-    assert_eq!(counted, Some(expected), "dnn.macs counter");
+        .find(|(counter, _)| *counter == name)
+        .map(|&(_, v)| v)
+}
+
+/// One cold traced registry run of `spec` at width 1.
+fn cold_trace(spec: &ScenarioSpec) -> carma_trace::Trace {
+    let collector = Arc::new(Collector::new());
+    carma_trace::with_collector(&collector, || {
+        ExperimentRegistry::standard()
+            .run_with_env(spec, None, Some(1), &RunEnv::standard())
+            .expect("scenario runs")
+    });
+    collector.snapshot()
+}
+
+#[test]
+fn evolved_lint_counts_every_nsga2_evaluation() {
+    let spec = ScenarioSpec::named("lint")
+        .with_scale(Scale::Quick)
+        .with_family("evolved");
+    let trace = cold_trace(&spec);
+    // The initial population, then one offspring batch per generation.
+    let (population, generations) = Scale::Quick.library_nsga_budget();
+    let expected = (population * (generations + 1)) as u64;
+    assert_eq!(expected, 112);
+    assert_eq!(counted(&trace, "nsga2.evals"), Some(expected));
+    assert_eq!(counted(&trace, "ga.evals"), None, "lint runs no GA-CDP");
+}
+
+#[test]
+fn fig2_counts_every_ga_evaluation() {
+    let spec = small_fig2();
+    let trace = cold_trace(&spec);
+    // One GA-CDP cell per FPS threshold: the initial population, then
+    // every generation re-evaluates all but its elites.
+    let resolved = spec
+        .resolve(&ExperimentRegistry::standard(), None, None)
+        .expect("resolves");
+    let ga = resolved.ga;
+    let per_run = ga.population + ga.generations * (ga.population - ga.elites.min(ga.population));
+    let expected = (resolved.fps_thresholds.len() * per_run) as u64;
+    assert_eq!(counted(&trace, "ga.evals"), Some(expected));
 }
