@@ -10,7 +10,7 @@ use carma_carbon::{CarbonMass, CarbonModel, Cdp, DeploymentProfile, FootprintBre
 use carma_dataflow::{Accelerator, AreaModel, PerfModel};
 use carma_dnn::{AccuracyEvaluator, DnnModel, EvaluatorConfig};
 use carma_memo::{f64_from_hex, f64_hex, MemoStore};
-use carma_multiplier::MultiplierLibrary;
+use carma_multiplier::{MultiplierEntry, MultiplierLibrary};
 use carma_netlist::{Area, TechNode};
 use parking_lot::Mutex;
 
@@ -263,6 +263,13 @@ pub struct CarmaContext {
     node: TechNode,
     library: Arc<MultiplierLibrary>,
     accuracy_drops: Vec<f64>,
+    /// Each entry's transistor count, indexed like the library. Every
+    /// `transistors()` call walks the entry's whole netlist, so the
+    /// counts are taken once here; the library is an immutable `Arc`,
+    /// so they cannot go stale.
+    transistors: Vec<u64>,
+    /// Transistor count of `library.exact()`.
+    exact_transistors: u64,
     carbon: CarbonModel,
     perf: PerfModel,
     perf_cache: Arc<PerfCache>,
@@ -353,10 +360,18 @@ impl CarmaContext {
             store,
             context_key,
         });
+        let transistors = library
+            .entries()
+            .iter()
+            .map(MultiplierEntry::transistors)
+            .collect();
+        let exact_transistors = library.exact().transistors();
         CarmaContext {
             node,
             library,
             accuracy_drops: seed.drops.clone(),
+            transistors,
+            exact_transistors,
             carbon,
             perf: PerfModel::new(),
             perf_cache,
@@ -415,7 +430,7 @@ impl CarmaContext {
         let mut v: Vec<usize> = (0..self.library.len())
             .filter(|&i| self.accuracy_drops[i] <= max_drop)
             .collect();
-        v.sort_by_key(|&i| self.library[i].transistors());
+        v.sort_by_key(|&i| self.transistors[i]);
         v
     }
 
@@ -458,15 +473,15 @@ impl CarmaContext {
         let entry = &self.library[mult_idx];
         let accel = point.to_accelerator(self.node);
         let perf = self.perf_summary(&accel, model);
-        let area_model = AreaModel::new(entry.transistors());
+        let transistors = self.transistors[mult_idx];
+        let area_model = AreaModel::new(transistors);
         let die_area = area_model.die_area(&accel);
         let embodied = self.carbon.embodied_carbon(die_area);
-        let exact_transistors = self.library.exact().transistors();
         let p = self.node.params();
         // Multiplier share of MAC energy scales with its transistor
         // count (see carma-dataflow::EnergyModel; recomputed here from
         // the cached traffic numbers to avoid re-running the mapper).
-        let mult_scale = entry.transistors() as f64 / exact_transistors as f64;
+        let mult_scale = transistors as f64 / self.exact_transistors as f64;
         let mac_pj = p.mac_energy_pj * (0.4 + 0.6 * mult_scale);
         let energy_j = (perf.macs as f64 * mac_pj
             + perf.sram_bytes as f64 * p.sram_read_pj_per_byte
@@ -508,6 +523,7 @@ impl CarmaContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use carma_multiplier::LibraryConfig;
     use std::sync::OnceLock;
 
     /// Shared reduced context: construction is the slow part, so tests
@@ -527,6 +543,50 @@ mod tests {
         // Drops are probabilities.
         for i in 0..ctx.library().len() {
             assert!((0.0..=1.0).contains(&ctx.accuracy_drop(i)));
+        }
+    }
+
+    #[test]
+    fn stored_transistor_counts_match_each_netlist_walk() {
+        // `evaluate` and `entries_within_drop` read the counts taken at
+        // assembly, so they must equal what `transistors()` walks out
+        // of every family's netlists, the imported one included.
+        let base = LibraryConfig::default();
+        let evolved = MultiplierLibrary::evolve(LibraryConfig {
+            max_truncation: 2,
+            max_prunes: 6,
+            nsga: base.nsga.with_population(12).with_generations(4),
+            ..base
+        });
+        let approx8 = carma_import::load_library(
+            &std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../../examples/libraries/approx8.v"),
+        )
+        .expect("approx8.v is admitted");
+        for library in [
+            MultiplierLibrary::truncation_ladder(8, 2),
+            MultiplierLibrary::classic_families(8, 2),
+            evolved,
+            carma_import::build_library(&approx8),
+        ] {
+            // Assembly never reads the drops' values, so no accuracy
+            // pass is needed.
+            let seed = ContextSeed {
+                drops: vec![0.0; library.len()],
+            };
+            let ctx = CarmaContext::assemble(
+                TechNode::N7,
+                Arc::new(library),
+                &seed,
+                Arc::new(PerfCache::new()),
+                None,
+            );
+            let library = ctx.library();
+            assert_eq!(ctx.transistors.len(), library.len());
+            for (entry, &count) in library.entries().iter().zip(&ctx.transistors) {
+                assert_eq!(count, entry.transistors(), "{}", entry.name);
+            }
+            assert_eq!(ctx.exact_transistors, library.exact().transistors());
         }
     }
 

@@ -49,6 +49,6 @@ pub mod nsga2;
 
 pub use ga::{par_evaluate, Evaluation, GaConfig, GaStats, GeneticAlgorithm, Individual, Problem};
 pub use nsga2::{
-    crowding_distance, fast_non_dominated_sort, par_evaluate_multi, MultiObjectiveProblem, Nsga2,
-    Nsga2Config, ParetoIndividual,
+    crowding_distance, fast_non_dominated_sort, MultiObjectiveProblem, Nsga2, Nsga2Config,
+    ParetoIndividual,
 };

@@ -33,25 +33,13 @@ pub trait MultiObjectiveProblem {
 
     /// Evaluates a whole batch of genomes. The engine routes all
     /// fitness evaluation through this method; override it (e.g. with
-    /// [`par_evaluate_multi`]) to evaluate
-    /// a generation in parallel. Overrides must return results in
-    /// input order and be pure per genome, keeping batch evaluation
-    /// bit-identical to the serial default.
+    /// [`carma_exec::par_map`]) to evaluate a generation in parallel.
+    /// Overrides must return results in input order and be pure per
+    /// genome, keeping batch evaluation bit-identical to the serial
+    /// default.
     fn evaluate_batch(&self, genomes: &[Self::Genome]) -> Vec<Vec<f64>> {
         genomes.iter().map(|g| self.evaluate(g)).collect()
     }
-}
-
-/// Parallel [`MultiObjectiveProblem::evaluate_batch`] building block:
-/// evaluates the batch on the `carma-exec` pool, preserving input
-/// order (the multi-objective sibling of
-/// [`par_evaluate`](crate::par_evaluate)).
-pub fn par_evaluate_multi<P>(problem: &P, genomes: &[P::Genome]) -> Vec<Vec<f64>>
-where
-    P: MultiObjectiveProblem + Sync + ?Sized,
-    P::Genome: Sync,
-{
-    carma_exec::par_map(genomes, |g| problem.evaluate(g))
 }
 
 /// A genome with its objective vector, as stored on the final front.
@@ -499,8 +487,8 @@ mod tests {
         assert_eq!(run(11).to_bits(), run(11).to_bits());
     }
 
-    /// Schaffer with `evaluate_batch` overridden to the parallel
-    /// helper.
+    /// Schaffer with `evaluate_batch` overridden to run on the
+    /// `carma-exec` pool.
     struct ParSchaffer;
 
     impl MultiObjectiveProblem for ParSchaffer {
@@ -527,7 +515,7 @@ mod tests {
         }
 
         fn evaluate_batch(&self, genomes: &[f64]) -> Vec<Vec<f64>> {
-            crate::par_evaluate_multi(self, genomes)
+            carma_exec::par_map(genomes, |g| self.evaluate(g))
         }
     }
 

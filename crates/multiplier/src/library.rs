@@ -108,6 +108,10 @@ pub struct MultiplierEntry {
 
 impl MultiplierEntry {
     /// Transistor count of the circuit (the area proxy).
+    ///
+    /// Each call walks every node of the netlist, so a hot loop reads
+    /// a count stored once (as `carma-core`'s evaluation context does
+    /// per library entry) instead of calling this per iteration.
     pub fn transistors(&self) -> u64 {
         self.circuit.transistor_count()
     }

@@ -233,6 +233,9 @@ impl Netlist {
     }
 
     /// Total static-CMOS transistor count.
+    ///
+    /// Each call walks every node, so a hot loop reads a count stored
+    /// once instead of calling this per iteration.
     pub fn transistor_count(&self) -> u64 {
         self.nodes.iter().map(|n| u64::from(n.transistors())).sum()
     }

@@ -12,7 +12,7 @@
 use std::process::ExitCode;
 
 use carma_core::scenario::{
-    banner_text, Artifact, ExperimentRegistry, Report, Scale, ScenarioSpec,
+    banner_text, Artifact, ExperimentRegistry, Report, Scale, ScenarioError, ScenarioSpec,
 };
 
 const USAGE: &str = "\
@@ -37,6 +37,9 @@ LINT OPTIONS:
   --output <path>      write the report to <path> instead of stdout
   --fixture corrupted  lint the built-in corrupted fixture netlist instead
                        (strict profile; exercises the failure path)
+  --trace <sink>       record a span trace of the lint (text|chrome|json, as
+                       for `run`); the report itself is unchanged
+  --trace-out <path>   write the trace sink to <path> instead of stderr
   Exits 1 when any error-severity finding is present, 2 on usage errors.
 
 SERVE OPTIONS:
@@ -139,8 +142,7 @@ struct RunArgs {
     memo_dir: Option<String>,
     memo_stats: bool,
     fingerprint: bool,
-    trace: Option<TraceSink>,
-    trace_out: Option<String>,
+    trace: TraceArgs,
     verbose: bool,
 }
 
@@ -150,6 +152,25 @@ enum TraceSink {
     Text,
     Chrome,
     Json,
+}
+
+/// `--trace <sink>` and `--trace-out <path>`, taken by both `carma run`
+/// and `carma lint`.
+#[derive(Default)]
+struct TraceArgs {
+    sink: Option<TraceSink>,
+    out: Option<String>,
+}
+
+fn parse_trace_sink(value: &str) -> Result<TraceSink, String> {
+    match value {
+        "text" => Ok(TraceSink::Text),
+        "chrome" => Ok(TraceSink::Chrome),
+        "json" => Ok(TraceSink::Json),
+        other => Err(format!(
+            "unknown trace sink `{other}` (expected text|chrome|json)"
+        )),
+    }
 }
 
 fn usage_error(msg: &str) -> ExitCode {
@@ -174,8 +195,7 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
         memo_dir: None,
         memo_stats: false,
         fingerprint: false,
-        trace: None,
-        trace_out: None,
+        trace: TraceArgs::default(),
         verbose: false,
     };
     let mut it = args.iter();
@@ -227,19 +247,8 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
             "--memo-dir" => parsed.memo_dir = Some(value_for("--memo-dir")?),
             "--memo-stats" => parsed.memo_stats = true,
             "--fingerprint" => parsed.fingerprint = true,
-            "--trace" => {
-                parsed.trace = Some(match value_for("--trace")?.as_str() {
-                    "text" => TraceSink::Text,
-                    "chrome" => TraceSink::Chrome,
-                    "json" => TraceSink::Json,
-                    other => {
-                        return Err(format!(
-                            "unknown trace sink `{other}` (expected text|chrome|json)"
-                        ))
-                    }
-                });
-            }
-            "--trace-out" => parsed.trace_out = Some(value_for("--trace-out")?),
+            "--trace" => parsed.trace.sink = Some(parse_trace_sink(&value_for("--trace")?)?),
+            "--trace-out" => parsed.trace.out = Some(value_for("--trace-out")?),
             "--verbose" => parsed.verbose = true,
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             name => {
@@ -267,6 +276,7 @@ fn lint(args: &[String]) -> ExitCode {
     let mut out = OutFormat::Text;
     let mut output: Option<String> = None;
     let mut fixture = false;
+    let mut trace = TraceArgs::default();
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -332,6 +342,10 @@ fn lint(args: &[String]) -> ExitCode {
                 }
                 other => Err(format!("unknown fixture `{other}` (expected corrupted)")),
             }),
+            "--trace" => value_for("--trace")
+                .and_then(|v| parse_trace_sink(&v))
+                .map(|sink| trace.sink = Some(sink)),
+            "--trace-out" => value_for("--trace-out").map(|v| trace.out = Some(v)),
             other => Err(format!("unknown lint argument `{other}`")),
         };
         if let Err(msg) = parsed {
@@ -341,9 +355,13 @@ fn lint(args: &[String]) -> ExitCode {
 
     print_env_diagnostics();
 
-    let report = if fixture {
-        carma_core::fixture_lint_report(carma_core::scenario::resolve_scale(None, scale))
-    } else {
+    let env = carma_core::RunEnv::standard();
+    let go = || {
+        if fixture {
+            return Ok(carma_core::fixture_lint_report(
+                carma_core::scenario::resolve_scale(None, scale),
+            ));
+        }
         let mut spec = ScenarioSpec::named("lint");
         if let Some(f) = family {
             spec.family = f;
@@ -355,14 +373,11 @@ fn lint(args: &[String]) -> ExitCode {
             }
         }
         spec.library_depth = library_depth;
-        let registry = ExperimentRegistry::standard();
-        match registry.run_with_env(&spec, scale, threads, &carma_core::RunEnv::standard()) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        ExperimentRegistry::standard().run_with_env(&spec, scale, threads, &env)
+    };
+    let report = match run_traced(&trace, false, threads, &env, go) {
+        Ok(report) => report,
+        Err(code) => return code,
     };
 
     if let Err(code) = emit(&report, out, output.as_deref()) {
@@ -600,74 +615,11 @@ fn run(args: &[String]) -> ExitCode {
         None => carma_core::RunEnv::standard(),
     };
 
-    // `--trace` / `--verbose` install an ambient collector for the
-    // duration of the run; with neither flag every span throughout the
-    // pipeline stays a no-op.
-    let collector = (parsed.trace.is_some() || parsed.verbose).then(|| {
-        std::sync::Arc::new(if parsed.verbose {
-            carma_trace::Collector::new_verbose()
-        } else {
-            carma_trace::Collector::new()
-        })
-    });
-    let started = std::time::Instant::now();
     let go = || registry.run_with_env(&spec, parsed.scale, parsed.threads, &env);
-    let result = match &collector {
-        Some(collector) => carma_trace::with_collector(collector, go),
-        None => go(),
-    };
-    let wall_s = started.elapsed().as_secs_f64();
-    let mut report = match result {
+    let report = match run_traced(&parsed.trace, parsed.verbose, parsed.threads, &env, go) {
         Ok(report) => report,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
-
-    if let Some(collector) = &collector {
-        let trace = collector.snapshot();
-        report.provenance = Some(carma_core::Provenance {
-            wall_s,
-            threads: parsed.threads.unwrap_or_else(carma_exec::current_threads),
-            build: carma_trace::build_info(),
-            memo: env.memo_stats(),
-            spans: trace
-                .span_totals()
-                .into_iter()
-                .map(|(name, count, total_ns)| carma_core::SpanTotal {
-                    name: name.to_string(),
-                    count,
-                    total_s: total_ns as f64 / 1e9,
-                })
-                .collect(),
-        });
-        if let Some(sink) = parsed.trace {
-            let payload = match sink {
-                TraceSink::Text => trace.text_profile(),
-                TraceSink::Chrome => trace.chrome_json(),
-                TraceSink::Json => {
-                    let mut json = report
-                        .provenance
-                        .as_ref()
-                        .expect("provenance attached above")
-                        .to_json();
-                    json.push('\n');
-                    json
-                }
-            };
-            match &parsed.trace_out {
-                Some(path) => {
-                    if let Err(e) = std::fs::write(path, payload) {
-                        eprintln!("error: cannot write `{path}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    eprintln!("(trace written to {path})");
-                }
-                None => eprint!("{payload}"),
-            }
-        }
-    }
 
     if parsed.memo_stats {
         if let Some(stats) = env.memo_stats() {
@@ -693,6 +645,74 @@ fn run(args: &[String]) -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(code) => code,
     }
+}
+
+/// Runs `go` under an ambient trace collector when `--trace` or
+/// `verbose` asks for one; without, every span throughout the pipeline
+/// stays a no-op. A traced report carries the run's provenance, and the
+/// `--trace` sink goes to `--trace-out` or stderr. A scenario error is
+/// printed and maps to exit 2.
+fn run_traced(
+    trace: &TraceArgs,
+    verbose: bool,
+    threads: Option<usize>,
+    env: &carma_core::RunEnv,
+    go: impl FnOnce() -> Result<Report, ScenarioError>,
+) -> Result<Report, ExitCode> {
+    let collector = (trace.sink.is_some() || verbose).then(|| {
+        std::sync::Arc::new(if verbose {
+            carma_trace::Collector::new_verbose()
+        } else {
+            carma_trace::Collector::new()
+        })
+    });
+    let started = std::time::Instant::now();
+    let result = match &collector {
+        Some(collector) => carma_trace::with_collector(collector, go),
+        None => go(),
+    };
+    let wall_s = started.elapsed().as_secs_f64();
+    let mut report = result.map_err(|e| {
+        eprintln!("error: {e}");
+        ExitCode::from(2)
+    })?;
+    let Some(collector) = collector else {
+        return Ok(report);
+    };
+    let snapshot = collector.snapshot();
+    let provenance = report.provenance.insert(carma_core::Provenance {
+        wall_s,
+        threads: threads.unwrap_or_else(carma_exec::current_threads),
+        build: carma_trace::build_info(),
+        memo: env.memo_stats(),
+        spans: snapshot
+            .span_totals()
+            .into_iter()
+            .map(|(name, count, total_ns)| carma_core::SpanTotal {
+                name: name.to_string(),
+                count,
+                total_s: total_ns as f64 / 1e9,
+            })
+            .collect(),
+    });
+    if let Some(sink) = trace.sink {
+        let payload = match sink {
+            TraceSink::Text => snapshot.text_profile(),
+            TraceSink::Chrome => snapshot.chrome_json(),
+            TraceSink::Json => provenance.to_json() + "\n",
+        };
+        match &trace.out {
+            Some(path) => {
+                if let Err(e) = std::fs::write(path, payload) {
+                    eprintln!("error: cannot write `{path}`: {e}");
+                    return Err(ExitCode::FAILURE);
+                }
+                eprintln!("(trace written to {path})");
+            }
+            None => eprint!("{payload}"),
+        }
+    }
+    Ok(report)
 }
 
 /// Prints `report` in `out` format (tables and notes; the banner is

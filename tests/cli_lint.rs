@@ -83,3 +83,25 @@ fn unknown_lint_flag_is_a_usage_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown lint argument"), "{stderr}");
 }
+
+#[test]
+fn trace_flag_profiles_the_evolved_search_and_keeps_the_report() {
+    let run = |trace: bool| {
+        let mut cmd = carma_lint();
+        cmd.args(["--family", "evolved", "--scale", "quick"]);
+        if trace {
+            cmd.args(["--trace", "text"]);
+        }
+        let out = cmd.output().expect("carma lint runs");
+        assert!(out.status.success(), "{:?}", out.status);
+        out
+    };
+    let traced = run(true);
+    let stderr = String::from_utf8_lossy(&traced.stderr);
+    assert!(stderr.contains("nsga2.evals = 112"), "{stderr}");
+    assert_eq!(
+        traced.stdout,
+        run(false).stdout,
+        "--trace must not change the report"
+    );
+}
