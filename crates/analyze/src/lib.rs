@@ -39,9 +39,7 @@ pub mod lint;
 
 pub use bound::{static_error_bound, BoundError, StaticBound};
 pub use canon::{CanonId, CanonTable};
-pub use lint::{
-    lint, Diagnostic, LintCode, LintOptions, LintProfile, LintReport, OutputStats, Severity,
-};
+pub use lint::{lint, Diagnostic, LintCode, LintOptions, LintProfile, LintReport, Severity};
 
 use carma_netlist::{BinOp, Netlist, UnOp};
 

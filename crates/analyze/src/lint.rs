@@ -140,26 +140,14 @@ pub struct Diagnostic {
     pub message: String,
 }
 
-/// Per-output structural statistics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OutputStats {
-    /// Output port name.
-    pub port: String,
-    /// Longest input→port path in gate levels.
-    pub depth: usize,
-    /// Number of gates in the port's transitive fan-in cone.
-    pub cone_gates: usize,
-}
-
-/// Result of [`lint`]: diagnostics plus structural statistics.
+/// Result of [`lint`]: diagnostics plus the logic depth.
 #[derive(Debug, Clone, Default)]
 pub struct LintReport {
     /// All findings, in deterministic (pass, then node) order.
     pub diagnostics: Vec<Diagnostic>,
-    /// Depth/cone statistics per output port, in declaration order.
-    pub output_stats: Vec<OutputStats>,
-    /// Largest fanout of any node (how many gate operands reference it).
-    pub max_fanout: usize,
+    /// Longest input→output path in gate levels (0 when validation
+    /// failed).
+    pub depth: usize,
 }
 
 impl LintReport {
@@ -275,7 +263,7 @@ pub fn lint(nl: &Netlist, opts: &LintOptions) -> LintReport {
         check_multiplier_ports(nl, width, opts.profile, &mut report.diagnostics);
     }
 
-    output_stats(nl, &mut report);
+    report.depth = logic_depth(nl);
     report
 }
 
@@ -356,45 +344,22 @@ fn check_multiplier_ports(
     }
 }
 
-/// Fills per-output depth/cone statistics and the global max fanout.
-fn output_stats(nl: &Netlist, report: &mut LintReport) {
+/// Longest input→output path in gate levels.
+fn logic_depth(nl: &Netlist) -> usize {
     let nodes = nl.nodes();
     let mut depth = vec![0usize; nodes.len()];
-    let mut fanout = vec![0usize; nodes.len()];
     for (idx, n) in nodes.iter().enumerate() {
-        let d = n
+        depth[idx] = n
             .operands()
             .map(|o| depth[o.index()])
             .max()
             .map_or(0, |m| m + usize::from(n.is_gate()));
-        depth[idx] = d;
-        for op in n.operands() {
-            fanout[op.index()] += 1;
-        }
     }
-    report.max_fanout = fanout.iter().copied().max().unwrap_or(0);
-
-    for (name, root) in nl.output_ports() {
-        // Cone walk per output; gates can be shared between cones.
-        let mut seen = vec![false; nodes.len()];
-        let mut stack = vec![*root];
-        let mut cone_gates = 0usize;
-        while let Some(id) = stack.pop() {
-            if seen[id.index()] {
-                continue;
-            }
-            seen[id.index()] = true;
-            if nodes[id.index()].is_gate() {
-                cone_gates += 1;
-            }
-            stack.extend(nodes[id.index()].operands());
-        }
-        report.output_stats.push(OutputStats {
-            port: name.clone(),
-            depth: depth[root.index()],
-            cone_gates,
-        });
-    }
+    nl.output_ports()
+        .iter()
+        .map(|(_, root)| depth[root.index()])
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -420,9 +385,7 @@ mod tests {
         let report = lint(&clean_and(), &LintOptions::default());
         assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
         assert_eq!(report.worst(), None);
-        assert_eq!(report.output_stats.len(), 1);
-        assert_eq!(report.output_stats[0].depth, 1);
-        assert_eq!(report.output_stats[0].cone_gates, 1);
+        assert_eq!(report.depth, 1);
     }
 
     #[test]
@@ -564,9 +527,18 @@ mod tests {
 
     #[test]
     fn output_stats_cover_every_port() {
-        let n = clean_and();
+        // The depth is the deepest cone over every output port, not the
+        // first port's; a dead chain deeper than every cone adds nothing.
+        let mut n = clean_and();
+        let (a, b) = (n.input_ids()[0], n.input_ids()[1]);
+        let or = n.binary(BinOp::Or, a, b);
+        let xor = n.binary(BinOp::Xor, or, a);
+        n.output("o2", xor);
+        let mut dead = xor;
+        for _ in 0..3 {
+            dead = n.binary(BinOp::And, dead, b);
+        }
         let report = lint(&n, &LintOptions::default());
-        assert_eq!(report.output_stats.len(), n.output_count());
-        assert_eq!(report.max_fanout, 1);
+        assert_eq!(report.depth, 2);
     }
 }

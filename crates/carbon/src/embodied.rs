@@ -34,15 +34,6 @@ impl CarbonMass {
         CarbonMass(grams)
     }
 
-    /// Creates a mass from kilograms of CO₂.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kg` is negative or not finite.
-    pub fn from_kg(kg: f64) -> Self {
-        Self::from_grams(kg * 1000.0)
-    }
-
     /// The mass in grams.
     pub fn as_grams(self) -> f64 {
         self.0
@@ -282,7 +273,7 @@ mod tests {
     #[test]
     fn carbon_mass_arithmetic() {
         let a = CarbonMass::from_grams(10.0);
-        let b = CarbonMass::from_kg(0.005);
+        let b = CarbonMass::from_grams(5.0);
         assert!(((a + b).as_grams() - 15.0).abs() < 1e-12);
         let mut c = a;
         c += b;
@@ -301,7 +292,7 @@ mod tests {
     #[test]
     fn display_scales_units() {
         assert!(CarbonMass::from_grams(12.0).to_string().contains("gCO₂"));
-        assert!(CarbonMass::from_kg(2.0).to_string().contains("kgCO₂"));
+        assert!(CarbonMass::from_grams(2000.0).to_string().contains("kgCO₂"));
     }
 
     proptest! {

@@ -111,12 +111,6 @@ impl SystemCarbon {
     pub fn total(&self) -> CarbonMass {
         self.dies.iter().copied().sum::<CarbonMass>() + self.package + self.dram
     }
-
-    /// The silicon (die) share of the total, in `[0, 1]`.
-    pub fn silicon_fraction(&self) -> f64 {
-        let dies: f64 = self.dies.iter().map(|c| c.as_grams()).sum();
-        dies / self.total().as_grams()
-    }
 }
 
 /// Compares a monolithic implementation against an ECO-CHIP-style
@@ -211,7 +205,8 @@ mod tests {
         // The ACT observation: for edge modules, memory and packaging
         // dwarf the logic die.
         let sys = SystemCarbon::of(&[die(TechNode::N7, 1.0)], Package::Monolithic, 4.0);
-        assert!(sys.silicon_fraction() < 0.10, "{}", sys.silicon_fraction());
+        let silicon = sys.dies[0].as_grams() / sys.total().as_grams();
+        assert!(silicon < 0.10, "{silicon}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use carma_carbon::{CarbonMass, CarbonModel, Cdp, DeploymentProfile, FootprintBreakdown};
 use carma_dataflow::{Accelerator, AreaModel, PerfModel};
@@ -12,7 +12,6 @@ use carma_dnn::{AccuracyEvaluator, DnnModel, EvaluatorConfig};
 use carma_memo::{f64_from_hex, f64_hex, MemoStore};
 use carma_multiplier::{MultiplierEntry, MultiplierLibrary};
 use carma_netlist::{Area, TechNode};
-use parking_lot::Mutex;
 
 use crate::space::DesignPoint;
 
@@ -48,12 +47,6 @@ impl DesignEval {
     /// carbon model.
     pub fn active_power_w(&self) -> f64 {
         self.energy_j / self.latency_s
-    }
-
-    /// The Carbon Delay Product as its typed [`Cdp`] form (the scalar
-    /// [`cdp`](DesignEval::cdp) field is this value).
-    pub fn cdp_metric(&self) -> Cdp {
-        Cdp::new(self.embodied, self.latency_s)
     }
 
     /// The total-carbon footprint of this design deployed under
@@ -123,14 +116,19 @@ impl PerfCache {
         }
     }
 
-    fn shard(&self, accel: &Accelerator) -> &Mutex<PerfShard> {
+    /// Locks the shard holding `accel`. A poisoned shard is recovered:
+    /// its summaries are deterministic and inserted whole, so a panic
+    /// elsewhere never leaves one half-written.
+    fn shard(&self, accel: &Accelerator) -> MutexGuard<'_, PerfShard> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         accel.hash(&mut h);
-        &self.shards[h.finish() as usize % PERF_CACHE_SHARDS]
+        self.shards[h.finish() as usize % PERF_CACHE_SHARDS]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     fn get(&self, accel: &Accelerator, model_name: &str) -> Option<PerfSummary> {
-        self.shard(accel).lock().get(accel).and_then(|per_model| {
+        self.shard(accel).get(accel).and_then(|per_model| {
             per_model
                 .iter()
                 .find(|(name, _)| name == model_name)
@@ -139,7 +137,7 @@ impl PerfCache {
     }
 
     fn insert(&self, accel: Accelerator, model_name: &str, summary: PerfSummary) {
-        let mut shard = self.shard(&accel).lock();
+        let mut shard = self.shard(&accel);
         let per_model = shard.entry(accel).or_default();
         // A racing worker may have inserted the same (deterministic)
         // summary between our miss and this lock; keep the first.
@@ -477,16 +475,16 @@ impl CarmaContext {
         let area_model = AreaModel::new(transistors);
         let die_area = area_model.die_area(&accel);
         let embodied = self.carbon.embodied_carbon(die_area);
-        let p = self.node.params();
         // Multiplier share of MAC energy scales with its transistor
-        // count (see carma-dataflow::EnergyModel; recomputed here from
-        // the cached traffic numbers to avoid re-running the mapper).
-        let mult_scale = transistors as f64 / self.exact_transistors as f64;
-        let mac_pj = p.mac_energy_pj * (0.4 + 0.6 * mult_scale);
-        let energy_j = (perf.macs as f64 * mac_pj
-            + perf.sram_bytes as f64 * p.sram_read_pj_per_byte
-            + perf.dram_bytes as f64 * p.dram_access_pj_per_byte)
-            * 1e-12;
+        // count, priced from the cached traffic numbers so the mapper
+        // does not run again.
+        let energy_j = carma_dataflow::energy::inference_energy_j(
+            self.node,
+            transistors as f64 / self.exact_transistors as f64,
+            perf.macs,
+            perf.sram_bytes,
+            perf.dram_bytes,
+        );
         DesignEval {
             accelerator: accel,
             mult_idx,
@@ -499,15 +497,6 @@ impl CarmaContext {
             energy_j,
             accuracy_drop: self.accuracy_drops[mult_idx],
         }
-    }
-
-    /// The total-carbon footprint of `eval` deployed under `profile` —
-    /// a thin delegation to [`DesignEval::footprint`], kept on the
-    /// context so the type that priced the die (`evaluate` → embodied
-    /// carbon via this context's carbon model) also exposes the full
-    /// lifecycle story next to it in the docs.
-    pub fn footprint(&self, eval: &DesignEval, profile: &DeploymentProfile) -> FootprintBreakdown {
-        eval.footprint(profile)
     }
 
     /// Evaluates a batch of design points on `model` across the
@@ -677,8 +666,7 @@ mod tests {
         let ctx = ctx7();
         let eval = ctx.evaluate(&DesignPoint::nvdla_like(256), &DnnModel::resnet50());
         let profile = DeploymentProfile::edge_default();
-        let fb = ctx.footprint(&eval, &profile);
-        assert_eq!(fb, eval.footprint(&profile));
+        let fb = eval.footprint(&profile);
         assert_eq!(
             fb.die, eval.embodied,
             "die bucket is the context-priced die"
@@ -689,7 +677,7 @@ mod tests {
         assert!((eval.active_power_w() - eval.energy_j / eval.latency_s).abs() < 1e-15);
         assert!(fb.operational.as_grams() > 0.0);
         // The cdp field routes through the Cdp newtype.
-        assert_eq!(eval.cdp, eval.cdp_metric().value());
+        assert_eq!(eval.cdp, Cdp::new(eval.embodied, eval.latency_s).value());
     }
 
     #[test]

@@ -642,10 +642,10 @@ fn run_deployment(r: &ResolvedScenario, ctx: &CarmaContext) -> Report {
             r.objective,
             &profile,
         );
-        let fb = ctx.footprint(&best, &profile);
+        let fb = best.footprint(&profile);
         let baseline = best_in_sweep(&exact, r.objective, &r.constraints, &profile)
             .unwrap_or_else(|| exact.last().expect("sweep is non-empty"));
-        let baseline_total = ctx.footprint(&baseline.eval, &profile).total().as_grams();
+        let baseline_total = baseline.eval.footprint(&profile).total().as_grams();
         if !fb.embodied_dominates() {
             op_dominated += 1;
         }
@@ -723,8 +723,7 @@ fn lint_row(
         circuit: circuit.to_string(),
         gates: nl.gate_count(),
         transistors: nl.transistor_count(),
-        // Longest input→output path, in gate levels.
-        depth: lr.output_stats.iter().map(|s| s.depth).max().unwrap_or(0),
+        depth: lr.depth,
         errors: lr.count(Severity::Error),
         warnings: lr.count(Severity::Warning),
         infos: lr.count(Severity::Info),

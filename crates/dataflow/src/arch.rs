@@ -40,11 +40,6 @@ impl Accelerator {
         u64::from(self.global_buffer_kib) * 1024
     }
 
-    /// Total local register-file capacity in bytes (all PEs).
-    pub fn total_rf_bytes(&self) -> u64 {
-        u64::from(self.local_rf_bytes) * u64::from(self.macs())
-    }
-
     /// The NVDLA-proportioned preset for a given MAC count: square-ish
     /// array, 256 B of CONV buffer per MAC (the nv-full ratio:
     /// 2048 MACs ↔ 512 KiB), 32 B register file per PE.
@@ -67,15 +62,6 @@ impl Accelerator {
             global_buffer_kib: (macs / 4).max(32), // 256 B per MAC
             node,
         }
-    }
-
-    /// The paper's baseline sweep: every NVDLA preset from 64 to 2048
-    /// MACs at `node`.
-    pub fn nvdla_sweep(node: TechNode) -> Vec<Accelerator> {
-        NVDLA_MAC_SIZES
-            .iter()
-            .map(|&m| Accelerator::nvdla_preset(m, node))
-            .collect()
     }
 
     /// Validates the physical plausibility of a (possibly GA-generated)
@@ -144,15 +130,18 @@ mod tests {
 
     #[test]
     fn sweep_covers_paper_range() {
-        let sweep = Accelerator::nvdla_sweep(TechNode::N14);
-        assert_eq!(sweep.len(), 6);
-        assert_eq!(sweep.first().unwrap().macs(), 64);
-        assert_eq!(sweep.last().unwrap().macs(), 2048);
+        assert_eq!(NVDLA_MAC_SIZES.len(), 6);
+        assert_eq!(NVDLA_MAC_SIZES.first(), Some(&64));
+        assert_eq!(NVDLA_MAC_SIZES.last(), Some(&2048));
+        for &macs in &NVDLA_MAC_SIZES {
+            assert_eq!(Accelerator::nvdla_preset(macs, TechNode::N14).macs(), macs);
+        }
     }
 
     #[test]
     fn validate_accepts_presets_and_rejects_garbage() {
-        for a in Accelerator::nvdla_sweep(TechNode::N28) {
+        for &macs in &NVDLA_MAC_SIZES {
+            let a = Accelerator::nvdla_preset(macs, TechNode::N28);
             assert!(a.validate().is_ok(), "{a}");
         }
         let mut bad = Accelerator::nvdla_preset(64, TechNode::N7);

@@ -11,6 +11,30 @@ use crate::perf::PerfReport;
 /// scale only this share.
 const MULTIPLIER_ENERGY_SHARE: f64 = 0.6;
 
+/// Energy of one inference at `node`, in joules: `macs` MACs whose
+/// multiplier share of energy is scaled by `mult_energy_scale`, plus
+/// `sram_bytes` of SRAM reads and `dram_bytes` of DRAM accesses.
+///
+/// [`EnergyModel::inference_energy_j`] and the flow's per-design
+/// evaluation (which keeps the traffic numbers of a cached perf
+/// report) both price energy here.
+#[inline]
+pub fn inference_energy_j(
+    node: TechNode,
+    mult_energy_scale: f64,
+    macs: u64,
+    sram_bytes: u64,
+    dram_bytes: u64,
+) -> f64 {
+    let p = node.params();
+    let mac_pj = p.mac_energy_pj
+        * (1.0 - MULTIPLIER_ENERGY_SHARE + MULTIPLIER_ENERGY_SHARE * mult_energy_scale);
+    let mac = macs as f64 * mac_pj;
+    let sram = sram_bytes as f64 * p.sram_read_pj_per_byte;
+    let dram = dram_bytes as f64 * p.dram_access_pj_per_byte;
+    (mac + sram + dram) * 1e-12
+}
+
 /// Energy model: MAC, SRAM and DRAM energy per inference.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
@@ -48,20 +72,15 @@ impl EnergyModel {
         }
     }
 
-    /// The multiplier energy scale in effect.
-    pub fn mult_energy_scale(&self) -> f64 {
-        self.mult_energy_scale
-    }
-
     /// Energy of one inference described by `perf`, in joules.
     pub fn inference_energy_j(&self, perf: &PerfReport) -> f64 {
-        let p = self.node.params();
-        let mac_pj = p.mac_energy_pj
-            * (1.0 - MULTIPLIER_ENERGY_SHARE + MULTIPLIER_ENERGY_SHARE * self.mult_energy_scale);
-        let mac = perf.macs as f64 * mac_pj;
-        let sram = perf.sram_bytes as f64 * p.sram_read_pj_per_byte;
-        let dram = perf.dram_bytes as f64 * p.dram_access_pj_per_byte;
-        (mac + sram + dram) * 1e-12
+        inference_energy_j(
+            self.node,
+            self.mult_energy_scale,
+            perf.macs,
+            perf.sram_bytes,
+            perf.dram_bytes,
+        )
     }
 
     /// Average power in watts for the inference described by `perf`.

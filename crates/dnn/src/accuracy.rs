@@ -58,19 +58,6 @@ impl EvaluatorConfig {
     }
 }
 
-/// The result of evaluating one multiplier.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AccuracyReport {
-    /// Name of the evaluated multiplier.
-    pub multiplier: String,
-    /// Fraction of samples whose prediction matches the exact run.
-    pub agreement: f64,
-    /// Accuracy drop = 1 − agreement, in `[0, 1]`.
-    pub drop: f64,
-    /// Number of samples evaluated.
-    pub samples: usize,
-}
-
 /// Evaluates multipliers on a fixed synthetic workload.
 ///
 /// Construction builds the seeded reference network, generates the
@@ -89,7 +76,6 @@ pub struct AccuracyReport {
 /// ```
 #[derive(Debug)]
 pub struct AccuracyEvaluator {
-    config: EvaluatorConfig,
     network: QuantizedNetwork,
     inputs: Vec<Tensor<u8>>,
     exact_predictions: Vec<usize>,
@@ -111,16 +97,10 @@ impl AccuracyEvaluator {
         // independent, so fan them out over the execution pool.
         let exact_predictions = carma_exec::par_map(&inputs, |x| network.predict_with(x, &exact));
         AccuracyEvaluator {
-            config,
             network,
             inputs,
             exact_predictions,
         }
-    }
-
-    /// The evaluator's configuration.
-    pub fn config(&self) -> &EvaluatorConfig {
-        &self.config
     }
 
     /// The reference network.
@@ -189,21 +169,6 @@ impl AccuracyEvaluator {
         flips as f64 / self.inputs.len() as f64
     }
 
-    /// Full report for `mult`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mult` is not 8 bits wide.
-    pub fn report(&self, mult: &dyn Multiplier) -> AccuracyReport {
-        let drop = self.accuracy_drop(mult);
-        AccuracyReport {
-            multiplier: mult.name().to_string(),
-            agreement: 1.0 - drop,
-            drop,
-            samples: self.inputs.len(),
-        }
-    }
-
     /// Evaluates every member of a [`MultiplierLibrary`], returning
     /// `(entry, accuracy drop)` pairs in library order.
     ///
@@ -248,9 +213,6 @@ mod tests {
         let eval = AccuracyEvaluator::new(small_config());
         let exact = ExactMultiplier::new(8);
         assert_eq!(eval.accuracy_drop(&exact), 0.0);
-        let r = eval.report(&exact);
-        assert_eq!(r.agreement, 1.0);
-        assert_eq!(r.samples, 48);
     }
 
     #[test]

@@ -295,17 +295,9 @@ impl QuantizedNetwork {
         logits
     }
 
-    /// Runs a forward pass and returns the predicted class (argmax of
-    /// the logits; ties break to the lower index).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Self::forward`].
-    pub fn predict(&self, input: &Tensor<u8>, mult: &dyn Multiplier) -> usize {
-        argmax(&self.forward(input, mult))
-    }
-
-    /// [`Self::predict`] over an already tabulated multiplier.
+    /// Runs a forward pass over an already tabulated multiplier and
+    /// returns the predicted class (argmax of the logits; ties break to
+    /// the lower index).
     pub(crate) fn predict_with(&self, input: &Tensor<u8>, table: &ProductTable) -> usize {
         argmax(&self.forward_with(input, table))
     }
@@ -547,8 +539,8 @@ mod tests {
     fn predict_returns_class_index() {
         let net = QuantizedNetwork::synthetic(16, 7, 5);
         let input = random_input(6, 3, 16);
-        let exact = ExactMultiplier::new(8);
-        let c = net.predict(&input, &exact);
+        let exact = ProductTable::new(&ExactMultiplier::new(8));
+        let c = net.predict_with(&input, &exact);
         assert!(c < 7);
     }
 

@@ -144,16 +144,6 @@ impl Layer {
         }
     }
 
-    /// Output channel count (input channels for pools).
-    pub fn output_channels(&self, input_channels: u32) -> u32 {
-        match self.kind {
-            LayerKind::Conv2d { out_channels, .. } => out_channels,
-            LayerKind::DepthwiseConv2d { channels, .. } => channels,
-            LayerKind::Linear { out_features, .. } => out_features,
-            LayerKind::MaxPool { .. } | LayerKind::GlobalAvgPool => input_channels,
-        }
-    }
-
     /// Multiply-accumulate operations performed by this layer.
     pub fn macs(&self) -> u64 {
         match self.kind {
@@ -291,15 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn output_channels_pass_through_for_pools() {
-        let p = Layer::max_pool(56, 2, 2);
-        assert_eq!(p.output_channels(64), 64);
-        let g = Layer::global_avg_pool(7);
-        assert_eq!(g.output_channels(2048), 2048);
-        assert_eq!(g.output_hw(), 1);
-    }
-
-    #[test]
     fn is_compute_flags_mac_layers() {
         assert!(Layer::conv(28, 8, 8, 3, 1, 1).is_compute());
         assert!(Layer::linear(10, 10).is_compute());
@@ -313,7 +294,6 @@ mod tests {
         assert_eq!(l.output_hw(), 112);
         assert_eq!(l.macs(), 32 * 9 * 112 * 112);
         assert_eq!(l.params(), 288);
-        assert_eq!(l.output_channels(32), 32);
         // Strided depthwise halves the map.
         let l = Layer::depthwise(64, 112, 3, 2, 1);
         assert_eq!(l.output_hw(), 56);

@@ -33,7 +33,7 @@ pub mod layer;
 pub mod model;
 pub mod tensor;
 
-pub use accuracy::{AccuracyEvaluator, AccuracyReport, EvaluatorConfig};
+pub use accuracy::{AccuracyEvaluator, EvaluatorConfig};
 pub use engine::QuantizedNetwork;
 pub use layer::{Layer, LayerKind};
 pub use model::DnnModel;

@@ -120,16 +120,6 @@ impl<T> Tensor<T> {
     pub fn as_slice(&self) -> &[T] {
         &self.data
     }
-
-    /// The flat CHW data slice, mutable.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Consumes the tensor, returning its flat data.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
 }
 
 impl<T> fmt::Display for Tensor<T> {
@@ -175,13 +165,6 @@ mod tests {
     #[should_panic(expected = "dimensions must be positive")]
     fn zero_dimension_rejected() {
         let _: Tensor<u8> = Tensor::zeros(0, 1, 1);
-    }
-
-    #[test]
-    fn into_vec_roundtrip() {
-        let t = Tensor::from_vec(1, 2, 2, vec![1u8, 2, 3, 4]);
-        assert_eq!(t.clone().into_vec(), vec![1, 2, 3, 4]);
-        assert_eq!(t.as_slice(), &[1, 2, 3, 4]);
     }
 
     #[test]

@@ -190,21 +190,9 @@ pub struct Individual<G> {
     pub evaluation: Evaluation,
 }
 
-/// Per-generation statistics, for convergence diagnostics and benches.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GaStats {
-    /// Generation index (0-based).
-    pub generation: usize,
-    /// Best objective among feasible individuals (NaN if none).
-    pub best_objective: f64,
-    /// Fraction of the population that is feasible.
-    pub feasible_fraction: f64,
-}
-
 /// The GA engine. Construct with [`GeneticAlgorithm::new`], then call
-/// [`run`](GeneticAlgorithm::run), or
-/// [`run_with_history`](GeneticAlgorithm::run_with_history) to also
-/// collect per-generation statistics.
+/// [`run`](GeneticAlgorithm::run) or
+/// [`run_seeded`](GeneticAlgorithm::run_seeded).
 #[derive(Debug)]
 pub struct GeneticAlgorithm<P: Problem> {
     problem: P,
@@ -223,15 +211,10 @@ impl<P: Problem> GeneticAlgorithm<P> {
         GeneticAlgorithm { problem, config }
     }
 
-    /// The problem being optimized.
-    pub fn problem(&self) -> &P {
-        &self.problem
-    }
-
     /// Evolves the population and returns the best individual found
     /// across all generations (by the feasibility rule).
     pub fn run(&self) -> Individual<P::Genome> {
-        self.run_with_history().0
+        self.run_seeded(&[])
     }
 
     /// Like [`run`](Self::run), with the first individuals of the
@@ -240,37 +223,6 @@ impl<P: Problem> GeneticAlgorithm<P> {
     /// NVDLA presets) guarantees the GA never returns something worse
     /// than the best seed.
     pub fn run_seeded(&self, seeds: &[P::Genome]) -> Individual<P::Genome> {
-        self.evolve(seeds).0
-    }
-
-    /// Like [`run`](Self::run) but also returns per-generation stats.
-    pub fn run_with_history(&self) -> (Individual<P::Genome>, Vec<GaStats>) {
-        self.evolve(&[])
-    }
-
-    /// Zips genomes with their batch evaluation into individuals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the problem's `evaluate_batch` override broke the
-    /// one-result-per-genome contract.
-    fn evaluate_all(&self, genomes: Vec<P::Genome>) -> Vec<Individual<P::Genome>> {
-        let _span = carma_trace::span!("ga.eval_batch", "n={}", genomes.len());
-        carma_trace::counter("ga.evals", genomes.len() as u64);
-        let evaluations = self.problem.evaluate_batch(&genomes);
-        assert_eq!(
-            evaluations.len(),
-            genomes.len(),
-            "evaluate_batch must return one Evaluation per genome"
-        );
-        genomes
-            .into_iter()
-            .zip(evaluations)
-            .map(|(genome, evaluation)| Individual { genome, evaluation })
-            .collect()
-    }
-
-    fn evolve(&self, seeds: &[P::Genome]) -> (Individual<P::Genome>, Vec<GaStats>) {
         let cfg = &self.config;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         // Variation (RNG-sequential) is split from evaluation so each
@@ -288,10 +240,7 @@ impl<P: Problem> GeneticAlgorithm<P> {
             .take(cfg.population)
             .collect();
         let mut pop = self.evaluate_all(genomes);
-
         let mut best = Self::best_of(&pop).clone();
-        let mut history = Vec::with_capacity(cfg.generations);
-        history.push(Self::stats(0, &pop));
 
         for generation in 1..=cfg.generations {
             let _span = carma_trace::span!("ga.generation", "gen={generation}");
@@ -319,9 +268,30 @@ impl<P: Problem> GeneticAlgorithm<P> {
             if gen_best.evaluation.better_than(&best.evaluation) {
                 best = gen_best.clone();
             }
-            history.push(Self::stats(generation, &pop));
         }
-        (best, history)
+        best
+    }
+
+    /// Zips genomes with their batch evaluation into individuals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the problem's `evaluate_batch` override broke the
+    /// one-result-per-genome contract.
+    fn evaluate_all(&self, genomes: Vec<P::Genome>) -> Vec<Individual<P::Genome>> {
+        let _span = carma_trace::span!("ga.eval_batch", "n={}", genomes.len());
+        carma_trace::counter("ga.evals", genomes.len() as u64);
+        let evaluations = self.problem.evaluate_batch(&genomes);
+        assert_eq!(
+            evaluations.len(),
+            genomes.len(),
+            "evaluate_batch must return one Evaluation per genome"
+        );
+        genomes
+            .into_iter()
+            .zip(evaluations)
+            .map(|(genome, evaluation)| Individual { genome, evaluation })
+            .collect()
     }
 
     fn tournament(&self, pop: &[Individual<P::Genome>], rng: &mut StdRng) -> usize {
@@ -360,18 +330,6 @@ impl<P: Problem> GeneticAlgorithm<P> {
                 }
             })
             .expect("population is non-empty")
-    }
-
-    fn stats(generation: usize, pop: &[Individual<P::Genome>]) -> GaStats {
-        let feasible: Vec<_> = pop.iter().filter(|i| i.evaluation.is_feasible()).collect();
-        GaStats {
-            generation,
-            best_objective: feasible
-                .iter()
-                .map(|i| i.evaluation.objective)
-                .fold(f64::NAN, f64::min),
-            feasible_fraction: feasible.len() as f64 / pop.len() as f64,
-        }
     }
 }
 
@@ -492,16 +450,6 @@ mod tests {
         assert_eq!(run(9).to_bits(), run(9).to_bits());
         // Different seeds almost surely differ.
         assert_ne!(run(9).to_bits(), run(10).to_bits());
-    }
-
-    #[test]
-    fn history_has_expected_length_and_improves() {
-        let ga = GeneticAlgorithm::new(Sphere { dims: 4 }, GaConfig::default().with_seed(5));
-        let (_, history) = ga.run_with_history();
-        assert_eq!(history.len(), GaConfig::default().generations + 1);
-        let first = history.first().unwrap().best_objective;
-        let last = history.last().unwrap().best_objective;
-        assert!(last <= first);
     }
 
     /// `Sphere` with `evaluate_batch` overridden to the parallel

@@ -47,7 +47,7 @@
 pub mod ga;
 pub mod nsga2;
 
-pub use ga::{par_evaluate, Evaluation, GaConfig, GaStats, GeneticAlgorithm, Individual, Problem};
+pub use ga::{par_evaluate, Evaluation, GaConfig, GeneticAlgorithm, Individual, Problem};
 pub use nsga2::{
     crowding_distance, fast_non_dominated_sort, MultiObjectiveProblem, Nsga2, Nsga2Config,
     ParetoIndividual,

@@ -296,7 +296,7 @@ fn admit(nl: &Netlist, width: u32, exact: &Netlist) -> Result<bool, Vec<String>>
         return Err(vec![format!("static error bound unavailable: {e}")]);
     }
     match check_equivalence(nl, exact) {
-        Ok(Equivalence::Equivalent { .. }) => Ok(true),
+        Ok(Equivalence::Equivalent) => Ok(true),
         Ok(Equivalence::Mismatch { .. }) => Ok(false),
         Err(e) => Err(vec![format!("equivalence check impossible: {e:?}")]),
     }

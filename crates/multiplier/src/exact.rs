@@ -139,11 +139,6 @@ impl MultiplierCircuit {
         &mut self.netlist
     }
 
-    /// Consumes the circuit, returning its netlist.
-    pub fn into_netlist(self) -> Netlist {
-        self.netlist
-    }
-
     /// Transistor count of the circuit.
     pub fn transistor_count(&self) -> u64 {
         self.netlist.transistor_count()
@@ -427,7 +422,7 @@ mod tests {
     #[test]
     fn from_netlist_checks_ports() {
         let m = MultiplierCircuit::generate(4, ReductionKind::Dadda);
-        let nl = m.clone().into_netlist();
+        let nl = m.netlist().clone();
         let back = MultiplierCircuit::from_netlist(nl, 4);
         assert_eq!(back.multiply_via_netlist(5, 5), 25);
     }

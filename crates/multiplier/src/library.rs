@@ -148,13 +148,6 @@ pub struct LibraryConfig {
     pub max_prunes: usize,
     /// NSGA-II hyper-parameters.
     pub nsga: Nsga2Config,
-    /// Statically pre-screen every Pareto-front circuit with
-    /// [`prescreen_circuit`] and leave out the ones it rejects.
-    /// Rejections are structural defects (port-convention or validity
-    /// violations) that no recipe-derived circuit should exhibit, so
-    /// the flag changes results only when something is genuinely
-    /// broken.
-    pub prescreen: bool,
 }
 
 impl Default for LibraryConfig {
@@ -165,7 +158,6 @@ impl Default for LibraryConfig {
             max_truncation: 4,
             max_prunes: 24,
             nsga: Nsga2Config::default(),
-            prescreen: true,
         }
     }
 }
@@ -300,10 +292,13 @@ impl MultiplierLibrary {
 
         // Rebuild each member's circuit from its own genome (names and
         // recipes follow the genome) and drop structurally defective
-        // ones under the static pre-screen.
+        // ones under the static pre-screen. Rejections are structural
+        // defects (port-convention or validity violations) that no
+        // genome-derived circuit should exhibit, so the screen changes
+        // results only when something is genuinely broken.
         let circuits = carma_exec::par_map(&front, |p| {
             let circuit = p.genome.apply(&base);
-            (!config.prescreen || prescreen_circuit(&circuit).is_ok()).then_some(circuit)
+            prescreen_circuit(&circuit).is_ok().then_some(circuit)
         });
         // Every member was swept during the search: its profile is in
         // the search's memo.

@@ -3,8 +3,8 @@
 //! After an approximation transform (and especially after [`sweep`]),
 //! one wants proof that a rewrite preserved — or a measure of how it
 //! changed — the function. [`check_equivalence`] compares two netlists
-//! with identical port interfaces: exhaustively for ≤ 20 inputs (via
-//! the 64-lane simulator), by seeded random sampling beyond that.
+//! with identical port interfaces exhaustively, over all 2^n input
+//! assignments of up to 20 inputs (via the 64-lane simulator).
 //!
 //! [`sweep`]: crate::Netlist::sweep
 
@@ -13,31 +13,18 @@ use crate::sim::{pack_bit, LaneSim};
 
 /// Input-count limit for exhaustive checking (2^20 ≈ 1M vectors).
 const EXHAUSTIVE_INPUT_LIMIT: usize = 20;
-/// Vector count for sampled checking.
-const SAMPLE_VECTORS: usize = 1 << 16;
 
 /// The verdict of an equivalence check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Equivalence {
-    /// All checked vectors agree; exhaustive checks are proofs,
-    /// sampled ones are evidence (`exhaustive` tells which).
-    Equivalent {
-        /// Whether every input vector was checked.
-        exhaustive: bool,
-    },
-    /// A disagreement was found; the witness is the offending input
-    /// assignment (LSB-first, one bool per primary input).
+    /// Every input assignment agrees: a proof of equivalence.
+    Equivalent,
+    /// A disagreement was found; the witness is the lowest offending
+    /// input assignment (LSB-first, one bool per primary input).
     Mismatch {
         /// Counterexample input assignment.
         witness: Vec<bool>,
     },
-}
-
-impl Equivalence {
-    /// Whether the verdict is "equivalent".
-    pub fn is_equivalent(&self) -> bool {
-        matches!(self, Equivalence::Equivalent { .. })
-    }
 }
 
 /// Errors of [`check_equivalence`].
@@ -57,6 +44,12 @@ pub enum EquivError {
         /// Outputs of the second netlist.
         right: usize,
     },
+    /// The netlists have more inputs (over 20) than an exhaustive
+    /// check covers.
+    TooManyInputs {
+        /// Inputs of each netlist.
+        inputs: usize,
+    },
 }
 
 impl std::fmt::Display for EquivError {
@@ -68,6 +61,10 @@ impl std::fmt::Display for EquivError {
             EquivError::OutputMismatch { left, right } => {
                 write!(f, "output count mismatch: {left} vs {right}")
             }
+            EquivError::TooManyInputs { inputs } => write!(
+                f,
+                "{inputs} inputs exceed the exhaustive limit of {EXHAUSTIVE_INPUT_LIMIT}"
+            ),
         }
     }
 }
@@ -79,13 +76,14 @@ impl std::error::Error for EquivError {}
 ///
 /// # Errors
 ///
-/// Returns [`EquivError`] if the port interfaces differ.
+/// Returns [`EquivError`] if the port interfaces differ or the
+/// netlists have more than 20 inputs.
 ///
 /// # Example
 ///
 /// ```
 /// use carma_netlist::{Netlist, BinOp};
-/// use carma_netlist::equiv::check_equivalence;
+/// use carma_netlist::equiv::{check_equivalence, Equivalence};
 ///
 /// # fn main() -> Result<(), carma_netlist::equiv::EquivError> {
 /// // a AND b  vs  NOT(NOT a OR NOT b): De Morgan equivalent.
@@ -104,7 +102,7 @@ impl std::error::Error for EquivError {}
 /// let g = y.unary(carma_netlist::UnOp::Not, o);
 /// y.output("y", g);
 ///
-/// assert!(check_equivalence(&x, &y)?.is_equivalent());
+/// assert_eq!(check_equivalence(&x, &y)?, Equivalence::Equivalent);
 /// # Ok(())
 /// # }
 /// ```
@@ -122,28 +120,19 @@ pub fn check_equivalence(left: &Netlist, right: &Netlist) -> Result<Equivalence,
         });
     }
     let n_inputs = left.input_count();
-    if n_inputs <= EXHAUSTIVE_INPUT_LIMIT {
-        Ok(check_vectors(
-            left,
-            right,
-            ExhaustiveVectors::new(n_inputs),
-            true,
-        ))
-    } else {
-        Ok(check_vectors(
-            left,
-            right,
-            SampledVectors::new(n_inputs, SAMPLE_VECTORS),
-            false,
-        ))
+    if n_inputs > EXHAUSTIVE_INPUT_LIMIT {
+        return Err(EquivError::TooManyInputs { inputs: n_inputs });
     }
+    // Every assignment in index order, one bit (0/1) per input, so the
+    // first mismatch found is the lowest.
+    let vectors = (0..1u64 << n_inputs).map(|x| (0..n_inputs).map(|i| (x >> i) & 1).collect());
+    Ok(check_vectors(left, right, vectors))
 }
 
 fn check_vectors(
     left: &Netlist,
     right: &Netlist,
     vectors: impl Iterator<Item = Vec<u64>>,
-    exhaustive: bool,
 ) -> Equivalence {
     let n_inputs = left.input_count();
     let lsim = LaneSim::new(left);
@@ -189,87 +178,7 @@ fn check_vectors(
     if let Some(witness) = flush(&mut batch) {
         return Equivalence::Mismatch { witness };
     }
-    Equivalence::Equivalent { exhaustive }
-}
-
-/// All 2^n input assignments, one bit (0/1) per input.
-struct ExhaustiveVectors {
-    n: usize,
-    next: u64,
-    total: u64,
-}
-
-impl ExhaustiveVectors {
-    fn new(n: usize) -> Self {
-        ExhaustiveVectors {
-            n,
-            next: 0,
-            total: 1u64 << n,
-        }
-    }
-}
-
-impl Iterator for ExhaustiveVectors {
-    type Item = Vec<u64>;
-
-    fn next(&mut self) -> Option<Vec<u64>> {
-        if self.next >= self.total {
-            return None;
-        }
-        let v = (0..self.n).map(|i| (self.next >> i) & 1).collect();
-        self.next += 1;
-        Some(v)
-    }
-}
-
-/// Seeded pseudo-random assignments (xorshift; no external RNG needed
-/// at this layer).
-struct SampledVectors {
-    n: usize,
-    state: u64,
-    remaining: usize,
-}
-
-impl SampledVectors {
-    fn new(n: usize, count: usize) -> Self {
-        SampledVectors {
-            n,
-            state: 0x9E37_79B9_7F4A_7C15,
-            remaining: count,
-        }
-    }
-
-    fn next_word(&mut self) -> u64 {
-        // xorshift64*.
-        self.state ^= self.state >> 12;
-        self.state ^= self.state << 25;
-        self.state ^= self.state >> 27;
-        self.state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
-impl Iterator for SampledVectors {
-    type Item = Vec<u64>;
-
-    fn next(&mut self) -> Option<Vec<u64>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let mut v = Vec::with_capacity(self.n);
-        let mut word = self.next_word();
-        let mut bits_left = 64;
-        for _ in 0..self.n {
-            if bits_left == 0 {
-                word = self.next_word();
-                bits_left = 64;
-            }
-            v.push(word & 1);
-            word >>= 1;
-            bits_left -= 1;
-        }
-        Some(v)
-    }
+    Equivalence::Equivalent
 }
 
 #[cfg(test)]
@@ -299,7 +208,7 @@ mod tests {
     #[test]
     fn equivalent_implementations_pass() {
         let v = check_equivalence(&and2(), &nand_not()).unwrap();
-        assert_eq!(v, Equivalence::Equivalent { exhaustive: true });
+        assert_eq!(v, Equivalence::Equivalent);
     }
 
     #[test]
@@ -310,7 +219,10 @@ mod tests {
         let g = n.binary(BinOp::And, a, one);
         n.output("z", g);
         let swept = n.sweep();
-        assert!(check_equivalence(&n, &swept).unwrap().is_equivalent());
+        assert_eq!(
+            check_equivalence(&n, &swept).unwrap(),
+            Equivalence::Equivalent
+        );
     }
 
     #[test]
@@ -353,11 +265,12 @@ mod tests {
     }
 
     #[test]
-    fn wide_netlists_use_sampling() {
-        // 24 inputs: a parity chain, equivalent to itself.
+    fn more_than_twenty_inputs_are_refused() {
+        // 21 inputs: a parity chain, equivalent to itself, but past
+        // the exhaustive limit.
         let build = || {
-            let mut n = Netlist::new("parity24");
-            let inputs: Vec<_> = (0..24).map(|i| n.input(format!("i{i}"))).collect();
+            let mut n = Netlist::new("parity21");
+            let inputs: Vec<_> = (0..21).map(|i| n.input(format!("i{i}"))).collect();
             let mut acc = inputs[0];
             for &x in &inputs[1..] {
                 acc = n.binary(BinOp::Xor, acc, x);
@@ -365,28 +278,11 @@ mod tests {
             n.output("p", acc);
             n
         };
-        let v = check_equivalence(&build(), &build()).unwrap();
-        assert_eq!(v, Equivalence::Equivalent { exhaustive: false });
-    }
-
-    #[test]
-    fn sampling_finds_gross_differences() {
-        let mut left = Netlist::new("wide_and");
-        let inputs: Vec<_> = (0..24).map(|i| left.input(format!("i{i}"))).collect();
-        let mut acc = inputs[0];
-        for &x in &inputs[1..] {
-            acc = left.binary(BinOp::And, acc, x);
-        }
-        left.output("y", acc);
-
-        let mut right = Netlist::new("wide_const");
-        for i in 0..24 {
-            right.input(format!("i{i}"));
-        }
-        let one = right.constant(true);
-        right.output("y", one);
-
-        let v = check_equivalence(&left, &right).unwrap();
-        assert!(matches!(v, Equivalence::Mismatch { .. }));
+        let err = check_equivalence(&build(), &build()).unwrap_err();
+        assert_eq!(err, EquivError::TooManyInputs { inputs: 21 });
+        assert_eq!(
+            err.to_string(),
+            "21 inputs exceed the exhaustive limit of 20"
+        );
     }
 }

@@ -749,7 +749,7 @@ mod tests {
         assert_eq!(back.output_count(), n.output_count());
         assert!(matches!(
             check_equivalence(&n, &back).unwrap(),
-            Equivalence::Equivalent { exhaustive: true }
+            Equivalence::Equivalent
         ));
     }
 

@@ -480,7 +480,7 @@ mod tests {
         assert_eq!(back.output_count(), 2);
         assert!(matches!(
             check_equivalence(&n, &back).unwrap(),
-            Equivalence::Equivalent { exhaustive: true }
+            Equivalence::Equivalent
         ));
     }
 

@@ -148,11 +148,6 @@ pub struct TechParams {
 }
 
 impl TechParams {
-    /// Clock period in nanoseconds.
-    pub fn clock_period_ns(&self) -> f64 {
-        1.0 / self.clock_ghz
-    }
-
     /// SRAM macro area for `bytes` of storage, in mm², including an
     /// array-efficiency factor for periphery (sense amps, decoders).
     pub fn sram_area_mm2(&self, bytes: u64) -> f64 {
@@ -209,12 +204,6 @@ mod tests {
         let a2 = p.sram_area_mm2(2048);
         assert!((a2 / a1 - 2.0).abs() < 1e-9);
         assert!(a1 > 0.0);
-    }
-
-    #[test]
-    fn clock_period_is_inverse_of_frequency() {
-        let p = TechNode::N14.params();
-        assert!((p.clock_period_ns() * p.clock_ghz - 1.0).abs() < 1e-12);
     }
 
     #[test]

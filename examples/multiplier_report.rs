@@ -69,7 +69,6 @@ fn main() {
             .with_population(population)
             .with_generations(generations)
             .with_seed(0xE70),
-        ..LibraryConfig::default()
     });
     print_library("evolved library (NSGA-II)", &evolved);
 

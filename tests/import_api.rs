@@ -44,7 +44,7 @@ fn assert_round_trip(lib: &MultiplierLibrary, format: ImportFormat, label: &str)
         assert_eq!(modules.len(), 1, "{label}/{}: one module out", entry.name);
         let reimported = modules.pop().expect("len checked");
         match check_equivalence(original, &reimported) {
-            Ok(Equivalence::Equivalent { exhaustive: true }) => {}
+            Ok(Equivalence::Equivalent) => {}
             other => panic!(
                 "{label}/{}: round trip is not exhaustively equivalent: {other:?}",
                 entry.name

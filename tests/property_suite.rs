@@ -5,9 +5,10 @@
 //! The `lane_sim_*` tests are the differential suite of the compiled
 //! simulator: `LaneSim`'s tape, block sweep and transposed readback
 //! against the scalar `Netlist::eval_bits` reference, on random
-//! netlists and on every builtin, evolved and imported multiplier. CI
-//! runs them at full strength with
-//! `PROPTEST_CASES=512 cargo test --release --test property_suite lane_sim`.
+//! netlists and on every builtin, evolved and imported multiplier. The
+//! `equivalence_*` tests pin `check_equivalence` to the same reference
+//! on random netlist pairs. CI runs both at full strength with
+//! `PROPTEST_CASES=512 cargo test --release --test property_suite -- lane_sim equivalence`.
 
 use carma_carbon::CarbonModel;
 use carma_core::{CarmaContext, DesignPoint};
@@ -18,7 +19,7 @@ use carma_multiplier::{
     ApproxGenome, ErrorProfile, LibraryConfig, LutMultiplier, Multiplier, MultiplierCircuit,
     MultiplierLibrary, Prune, PruneAction, ReductionKind,
 };
-use carma_netlist::equiv::check_equivalence;
+use carma_netlist::equiv::{check_equivalence, Equivalence};
 use carma_netlist::{BinOp, LaneSim, Netlist, Node, SweepReason, TechNode, UnOp};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -90,7 +91,7 @@ proptest! {
         let once = approx.netlist().clone();
         let twice = once.sweep();
         let verdict = check_equivalence(&once, &twice).unwrap();
-        prop_assert!(verdict.is_equivalent());
+        prop_assert_eq!(verdict, Equivalence::Equivalent);
     }
 
     /// Zero error profile ⇔ the circuit multiplies exactly.
@@ -258,6 +259,31 @@ prop_compose! {
     }
 }
 
+prop_compose! {
+    /// Two netlists sharing one interface: an [`arb_netlist`] recipe,
+    /// and the same recipe with one program step (or, for an empty
+    /// program, one output pick) replaced, so the pair is sometimes
+    /// equivalent and sometimes not.
+    fn arb_netlist_pair()(
+        inputs in 1usize..=10,
+        program in proptest::collection::vec((0u8..11, 0u32..1024, 0u32..1024), 0..48),
+        outputs in proptest::collection::vec(0u32..1024, 1..=20),
+        at in 0usize..1024,
+        step in (0u8..11, 0u32..1024, 0u32..1024),
+    ) -> (Netlist, Netlist) {
+        let (mut changed_program, mut changed_outputs) = (program.clone(), outputs.clone());
+        if program.is_empty() {
+            changed_outputs[at % outputs.len()] = step.1;
+        } else {
+            changed_program[at % program.len()] = step;
+        }
+        (
+            random_netlist(inputs, &program, &outputs),
+            random_netlist(inputs, &changed_program, &changed_outputs),
+        )
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -287,6 +313,36 @@ proptest! {
             prop_assert!(lane == expected, "eval lane {k}: {lane:#x}, reference {expected:#x}");
         }
     }
+
+    /// `check_equivalence` proves equivalence exactly when the scalar
+    /// reference agrees on all 2^n assignments, and otherwise returns
+    /// the lowest assignment where the two disagree.
+    #[test]
+    fn equivalence_matches_scalar_reference(pair in arb_netlist_pair()) {
+        let (left, right) = &pair;
+        let inputs = left.input_count();
+        let first_difference = (0..1u64 << inputs).find(|&x| reference(left, x) != reference(right, x));
+        let expected = match first_difference {
+            None => Equivalence::Equivalent,
+            Some(x) => Equivalence::Mismatch {
+                witness: (0..inputs).map(|i| (x >> i) & 1 == 1).collect(),
+            },
+        };
+        prop_assert_eq!(check_equivalence(left, right).unwrap(), expected);
+    }
+}
+
+/// The pair recipe reaches both verdicts.
+#[test]
+fn equivalence_pairs_reach_both_verdicts() {
+    let mut rng = TestRng::for_test("equivalence_pairs_reach_both_verdicts");
+    let verdicts: BTreeSet<bool> = (0..64)
+        .map(|_| {
+            let (left, right) = arb_netlist_pair().sample(&mut rng);
+            check_equivalence(&left, &right).unwrap() == Equivalence::Equivalent
+        })
+        .collect();
+    assert_eq!(verdicts, BTreeSet::from([false, true]));
 }
 
 /// The random-netlist recipe reaches every node kind and wiring the
