@@ -27,8 +27,11 @@
 //! the warm environment missed the library and context stages exactly
 //! once each (fig2's misses), every warm `deployment` run did no DNN
 //! work (`dnn.macs` = 0), every cold run did exactly one accuracy
-//! characterization's worth, and the cold, warm and repeat reports are
-//! byte-identical.
+//! characterization's worth, the repeat priced no design
+//! (`perf.summaries` = 0), and the cold, warm and repeat reports are
+//! byte-identical. Each phase's `dnn.macs` and `perf.summaries` are
+//! recorded in the JSON: what a warm run still computes is the GA
+//! cells' performance-model misses.
 
 use std::sync::Arc;
 
@@ -45,14 +48,22 @@ fn fastest<R>(runs: Vec<(f64, R)>) -> (f64, R) {
         .expect("at least one run")
 }
 
-/// The `dnn.macs` counter of one run's trace (0 when no accuracy pass
-/// ran).
-fn dnn_macs(trace: &Trace) -> u64 {
+/// Counter `name` of one run's trace (0 when nothing was counted).
+fn counted(trace: &Trace, name: &str) -> u64 {
     trace
         .counters
         .iter()
-        .find(|(name, _)| *name == "dnn.macs")
-        .map_or(0, |&(_, macs)| macs)
+        .find(|(counter, _)| *counter == name)
+        .map_or(0, |&(_, value)| value)
+}
+
+/// The JSON object of one phase's work counters.
+fn counters_json(trace: &Trace) -> String {
+    format!(
+        "{{\"dnn.macs\": {}, \"perf.summaries\": {}}}",
+        counted(trace, "dnn.macs"),
+        counted(trace, "perf.summaries")
+    )
 }
 
 fn main() {
@@ -109,7 +120,7 @@ fn main() {
         // Cold: fresh environment, every stage computes.
         let (s, (report, trace)) = run(&RunEnv::standard(), &deployment);
         assert_eq!(
-            dnn_macs(&trace),
+            counted(&trace, "dnn.macs"),
             cold_macs,
             "a cold deployment characterizes accuracy exactly once"
         );
@@ -121,7 +132,7 @@ fn main() {
         run(&env, &fig2);
         let (s, (report, trace)) = run(&env, &deployment);
         assert_eq!(
-            dnn_macs(&trace),
+            counted(&trace, "dnn.macs"),
             0,
             "a warm deployment reran the accuracy pass fig2 already paid for"
         );
@@ -131,7 +142,12 @@ fn main() {
     let (warm_s, (warm_report, warm_trace, warm_env)) = fastest(warm);
 
     // Repeat: everything is memoized now.
-    let (repeat_s, (repeat_report, _)) = run(&warm_env, &deployment);
+    let (repeat_s, (repeat_report, repeat_trace)) = run(&warm_env, &deployment);
+    assert_eq!(
+        counted(&repeat_trace, "perf.summaries"),
+        0,
+        "a fully-memoized rerun priced a design"
+    );
 
     // Reuse must be real, not a timing accident: fig2's library and
     // context misses were the environment's only ones, and memoization
@@ -169,11 +185,19 @@ fn main() {
          \"repeat_s\": {repeat_s:.6},\n  \"speedup_warm\": {speedup_warm:.3},\n  \
          \"speedup_repeat\": {speedup_repeat:.3},\n  \
          \"memo_hits\": {{\"library\": {}, \"context\": {}, \"cell\": {}}},\n  \
+         \"counters\": {{\"cold\": {}, \"warm\": {}, \"repeat\": {}}},\n  \
          \"note\": \"cold runs `deployment` in a fresh memo environment; warm reruns it \
          after `fig2` shared the same environment (library + context + exact sweep \
          reused); repeat reruns it a third time (every cell hits); cold and warm are \
-         each the fastest of {REPS} alternating runs in fresh environments\"\n}}\n",
-        stats.library.hits, stats.context.hits, stats.cell.hits,
+         each the fastest of {REPS} alternating runs in fresh environments; counters are \
+         each phase's MACs of accuracy work and (accelerator, model) summaries the \
+         performance model stored\"\n}}\n",
+        stats.library.hits,
+        stats.context.hits,
+        stats.cell.hits,
+        counters_json(&cold_trace),
+        counters_json(&warm_trace),
+        counters_json(&repeat_trace),
     );
     match std::fs::write("BENCH_incremental.json", &json) {
         Ok(()) => println!("(written to BENCH_incremental.json)"),

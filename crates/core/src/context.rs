@@ -136,13 +136,25 @@ impl PerfCache {
         })
     }
 
+    /// Stores a new (accelerator, model) summary and counts it as
+    /// `perf.summaries`, so the counter is the number of distinct keys
+    /// a run priced, the same at any width. Two workers that miss on
+    /// one key at once both compute it (the model is deterministic), but
+    /// it is stored and counted once.
     fn insert(&self, accel: Accelerator, model_name: &str, summary: PerfSummary) {
-        let mut shard = self.shard(&accel);
-        let per_model = shard.entry(accel).or_default();
-        // A racing worker may have inserted the same (deterministic)
-        // summary between our miss and this lock; keep the first.
-        if !per_model.iter().any(|(name, _)| name == model_name) {
-            per_model.push((model_name.to_string(), summary));
+        let stored = {
+            let mut shard = self.shard(&accel);
+            let per_model = shard.entry(accel).or_default();
+            // A racing worker may have inserted the same summary
+            // between our miss and this lock; keep the first.
+            let new = !per_model.iter().any(|(name, _)| name == model_name);
+            if new {
+                per_model.push((model_name.to_string(), summary));
+            }
+            new
+        };
+        if stored {
+            carma_trace::counter("perf.summaries", 1);
         }
     }
 }

@@ -3,13 +3,12 @@
 use carma_dnn::DnnModel;
 
 use crate::arch::Accelerator;
-use crate::mapping::{LayerMapping, MappingSearch};
+use crate::mapping::{ConvDims, LayerMapping, MappingSearch};
 
-/// Per-layer performance record.
-#[derive(Debug, Clone, PartialEq)]
+/// Per-layer performance record, in the order of
+/// [`DnnModel::compute_layers`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerPerf {
-    /// Display name of the layer.
-    pub layer: String,
     /// The chosen mapping.
     pub mapping: LayerMapping,
     /// Layer latency in cycles: `max(compute, DRAM)` (double-buffered
@@ -50,6 +49,10 @@ impl PerfModel {
 
     /// Evaluates `model` on `accel`, mapping every compute layer.
     ///
+    /// A mapping depends only on the layer's shape, and networks repeat
+    /// shapes (ResNet50's 54 compute layers have 24), so each distinct
+    /// shape is mapped once per call and its record reused.
+    ///
     /// # Panics
     ///
     /// Panics if `accel` fails [`Accelerator::validate`].
@@ -58,25 +61,31 @@ impl PerfModel {
             panic!("invalid accelerator: {e}");
         }
         let clock_hz = accel.node.params().clock_ghz * 1e9;
+        // A few dozen shapes at most: a linear scan beats hashing.
+        let mut mapped: Vec<(ConvDims, LayerPerf)> = Vec::new();
         let mut layers = Vec::new();
         let mut total_cycles = 0u64;
         let mut dram_bytes = 0u64;
         let mut sram_bytes = 0u64;
         for layer in model.compute_layers() {
-            let mapping = self
-                .search
-                .map_layer(accel, layer)
-                .expect("compute layers always map");
-            let mem_cycles = self.search.dram_cycles(accel, mapping.dram_bytes);
-            let cycles = mapping.compute_cycles.max(mem_cycles);
-            total_cycles += cycles;
-            dram_bytes += mapping.dram_bytes;
-            sram_bytes += mapping.sram_bytes;
-            layers.push(LayerPerf {
-                layer: layer.to_string(),
-                mapping,
-                cycles,
-            });
+            let dims = ConvDims::from_layer(layer).expect("compute layers always map");
+            let perf = match mapped.iter().find(|(seen, _)| *seen == dims) {
+                Some(&(_, perf)) => perf,
+                None => {
+                    let mapping = self.search.map_dims(accel, &dims);
+                    let mem_cycles = self.search.dram_cycles(accel, mapping.dram_bytes);
+                    let perf = LayerPerf {
+                        mapping,
+                        cycles: mapping.compute_cycles.max(mem_cycles),
+                    };
+                    mapped.push((dims, perf));
+                    perf
+                }
+            };
+            total_cycles += perf.cycles;
+            dram_bytes += perf.mapping.dram_bytes;
+            sram_bytes += perf.mapping.sram_bytes;
+            layers.push(perf);
         }
         let latency_s = total_cycles as f64 / clock_hz;
         PerfReport {

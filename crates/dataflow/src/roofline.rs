@@ -103,7 +103,7 @@ impl RooflineReport {
             weighted_util += utilization * layer_macs;
             total_macs += layer_macs;
             layers.push(LayerRoofline {
-                layer: lp.layer.clone(),
+                layer: layer.to_string(),
                 intensity,
                 achieved,
                 bound,

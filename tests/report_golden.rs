@@ -3,7 +3,13 @@
 //! experiment at `--scale quick` and each `examples/scenarios` spec,
 //! rendered to the stdout bytes of `--out json`, `--out csv`,
 //! `--out text` and `--fingerprint`; all runs share one
-//! `RunEnv::standard()`.
+//! `RunEnv::standard()`. An ignored test pins every registry
+//! experiment at `--scale full` the same way; it takes seconds in
+//! release and much longer in the test profile:
+//!
+//! ```text
+//! cargo test --release --test report_golden -- --ignored
+//! ```
 //!
 //! A change meant to keep output byte-identical leaves every digest in
 //! place. On a mismatch the test names each (run, sink) that moved and
@@ -82,6 +88,51 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("table1_quick.json", "text", 0x152c19e8809c6cfa),
 ];
 
+/// The same for every registry experiment at `--scale full`.
+#[rustfmt::skip]
+const GOLDEN_FULL: &[(&str, &str, u64)] = &[
+    ("ablation_family", "csv", 0xf181b84d70b88fba),
+    ("ablation_family", "fingerprint", 0xedea11bc1b853b49),
+    ("ablation_family", "json", 0xa80a9d693c45a305),
+    ("ablation_family", "text", 0x9f78230d48d74eda),
+    ("ablation_grid", "csv", 0x1e7db01fac0508f2),
+    ("ablation_grid", "fingerprint", 0xad4096ee8e83fe4a),
+    ("ablation_grid", "json", 0x36b06dbb319f9b15),
+    ("ablation_grid", "text", 0x991ca7d948e3b1ac),
+    ("ablation_metric", "csv", 0x96635c5e8ddc807a),
+    ("ablation_metric", "fingerprint", 0xd1db63ca26e5a484),
+    ("ablation_metric", "json", 0xab07bfe617af2c2e),
+    ("ablation_metric", "text", 0x9d5f4fb8f426a887),
+    ("ablation_search", "csv", 0xfdd91a27ecde0658),
+    ("ablation_search", "fingerprint", 0xc2f18ce4e662264c),
+    ("ablation_search", "json", 0x5a091876929efd38),
+    ("ablation_search", "text", 0xcb428c9ef3e71bca),
+    ("ablation_yield", "csv", 0x7009715f8285d3c9),
+    ("ablation_yield", "fingerprint", 0x0309bd224a8a1229),
+    ("ablation_yield", "json", 0xfe68bdbcc0eeefde),
+    ("ablation_yield", "text", 0x834e763a71dbff8f),
+    ("deployment", "csv", 0x994bdbfaecce3387),
+    ("deployment", "fingerprint", 0x8dfa824d6a3e0a26),
+    ("deployment", "json", 0x4b387e9cf787dceb),
+    ("deployment", "text", 0xe41ace843bdba89b),
+    ("fig2", "csv", 0x7df5c62cfefd4e32),
+    ("fig2", "fingerprint", 0x5c1fe8de294575f1),
+    ("fig2", "json", 0xff5f6b5744d3ae43),
+    ("fig2", "text", 0x23a7986d298f063e),
+    ("fig3", "csv", 0x58b5bbfff7a4b9be),
+    ("fig3", "fingerprint", 0xc09d539274ebd3c3),
+    ("fig3", "json", 0xf1cfb9feb562157b),
+    ("fig3", "text", 0x76e9b7143ccd9378),
+    ("lint", "csv", 0x4137455cabe55d7f),
+    ("lint", "fingerprint", 0x4d5c255929989131),
+    ("lint", "json", 0x250d5660841b2b29),
+    ("lint", "text", 0x823c678a49d2ab9f),
+    ("table1", "csv", 0x9dd4d9ebc6d05019),
+    ("table1", "fingerprint", 0xb4ebc5fe5821b209),
+    ("table1", "json", 0x19d7669a326a0e03),
+    ("table1", "text", 0xab4afdf90e5ebf22),
+];
+
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -145,14 +196,40 @@ fn every_report_matches_its_golden_digest() {
         runs.push((file, spec, None));
     }
 
+    assert_digests(GOLDEN, &runs);
+}
+
+/// Full scale's larger GA budgets visit accelerators that quick scale
+/// never prices.
+#[test]
+#[ignore = "full scale: run in release with `-- --ignored`"]
+fn every_full_scale_report_matches_its_golden_digest() {
+    let runs: Vec<(String, ScenarioSpec, Option<Scale>)> = ExperimentRegistry::standard()
+        .names()
+        .map(|name| {
+            (
+                name.to_string(),
+                ScenarioSpec::named(name),
+                Some(Scale::Full),
+            )
+        })
+        .collect();
+    assert_digests(GOLDEN_FULL, &runs);
+}
+
+/// Renders every sink of every run over one shared environment and
+/// asserts each digest equals its `golden` entry, naming every
+/// (run, sink) that moved and printing the new table.
+fn assert_digests(golden: &[(&str, &str, u64)], runs: &[(String, ScenarioSpec, Option<Scale>)]) {
+    let registry = ExperimentRegistry::standard();
     let env = RunEnv::standard();
     let mut actual = BTreeMap::new();
-    for (run, spec, cli_scale) in &runs {
+    for (run, spec, cli_scale) in runs {
         for (sink, bytes) in sinks(&registry, &env, spec, *cli_scale) {
             actual.insert((run.clone(), sink), fnv1a64(bytes.as_bytes()));
         }
     }
-    let golden: BTreeMap<(String, &str), u64> = GOLDEN
+    let golden: BTreeMap<(String, &str), u64> = golden
         .iter()
         .map(|&(run, sink, digest)| ((run.to_string(), sink), digest))
         .collect();

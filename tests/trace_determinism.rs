@@ -12,7 +12,9 @@
 //!   the library pass are child spans of `memo.context`, and the
 //!   `dnn.macs` counter records the work they did.
 //! - the GA engines count their genome evaluations at the source:
-//!   `nsga2.evals` and `ga.evals` equal what the run's budgets imply.
+//!   `nsga2.evals` and `ga.evals` equal what the run's budgets imply;
+//! - the perf cache counts the summaries it stores (`perf.summaries`):
+//!   the distinct designs a run priced, the same at every width.
 
 use std::sync::Arc;
 
@@ -202,4 +204,31 @@ fn fig2_counts_every_ga_evaluation() {
     let per_run = ga.population + ga.generations * (ga.population - ga.elites.min(ga.population));
     let expected = (resolved.fps_thresholds.len() * per_run) as u64;
     assert_eq!(counted(&trace, "ga.evals"), Some(expected));
+}
+
+#[test]
+fn perf_summaries_count_distinct_designs_at_any_width() {
+    // One summary per distinct (accelerator, model) the GA-CDP cells
+    // priced; concurrent misses on one key are stored and counted once.
+    for threads in [1, 8] {
+        let (trace, _) = traced_run(threads);
+        assert_eq!(
+            counted(&trace, "perf.summaries"),
+            Some(163),
+            "threads = {threads}"
+        );
+    }
+    // A repeat in the same environment hits every cell and prices none.
+    let env = RunEnv::standard();
+    let registry = ExperimentRegistry::standard();
+    registry
+        .run_with_env(&small_fig2(), None, Some(1), &env)
+        .expect("scenario runs");
+    let collector = Arc::new(Collector::new());
+    carma_trace::with_collector(&collector, || {
+        registry
+            .run_with_env(&small_fig2(), None, Some(1), &env)
+            .expect("scenario runs")
+    });
+    assert_eq!(counted(&collector.snapshot(), "perf.summaries"), None);
 }
