@@ -180,14 +180,18 @@ impl ContextSeed {
     /// datatype).
     pub(crate) fn characterize(library: &MultiplierLibrary, evaluator: EvaluatorConfig) -> Self {
         assert_eq!(library.width(), 8, "context requires an 8-bit library");
+        // One `accuracy.tabulate` span per compiled multiplier: the
+        // exact one under the reference pass, each approximate entry
+        // under the library pass.
+        let tabulating = || carma_trace::span!("accuracy.tabulate");
         let accuracy = {
             let _span = carma_trace::span!("accuracy.reference");
-            AccuracyEvaluator::new(evaluator)
+            AccuracyEvaluator::observed(evaluator, &tabulating)
         };
         let drops = {
             let _span = carma_trace::span!("accuracy.library");
             accuracy
-                .evaluate_library(library)
+                .evaluate_library_observed(library, &tabulating)
                 .into_iter()
                 .map(|(_, drop)| drop)
                 .collect()

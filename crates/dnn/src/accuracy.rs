@@ -17,7 +17,7 @@ use carma_multiplier::{ExactMultiplier, Multiplier, MultiplierEntry, MultiplierL
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::engine::{ProductTable, QuantizedNetwork};
+use crate::engine::{NetworkTables, ProductTable, QuantizedNetwork};
 use crate::tensor::Tensor;
 
 /// Configuration of the synthetic-ImageNet evaluation.
@@ -54,7 +54,7 @@ impl EvaluatorConfig {
     /// Multiply-accumulates of one forward pass through the synthetic
     /// network this configuration evaluates.
     pub fn macs_per_inference(&self) -> u64 {
-        QuantizedNetwork::synthetic(self.input_hw, self.classes, self.seed).macs_per_inference()
+        QuantizedNetwork::uncalibrated(self.input_hw, self.classes, self.seed).macs_per_inference()
     }
 }
 
@@ -89,10 +89,23 @@ impl AccuracyEvaluator {
     /// Panics if `config.samples` is zero or `config.input_hw` is not a
     /// positive multiple of 4.
     pub fn new(config: EvaluatorConfig) -> Self {
+        Self::observed(config, &|| ())
+    }
+
+    /// [`Self::new`], calling `tabulating` as the exact multiplier's
+    /// tables start to compile and dropping what it returns once they
+    /// are built (carma-core opens a trace span there).
+    pub fn observed<G>(config: EvaluatorConfig, tabulating: &impl Fn() -> G) -> Self {
         assert!(config.samples > 0, "need at least one sample");
-        let network = QuantizedNetwork::synthetic(config.input_hw, config.classes, config.seed);
+        let mut network =
+            QuantizedNetwork::uncalibrated(config.input_hw, config.classes, config.seed);
+        // One compile serves calibration and the reference run.
+        let exact = {
+            let _tabulating = tabulating();
+            network.tabulate(ProductTable::new(&ExactMultiplier::new(8)))
+        };
+        network.calibrate(config.seed, &exact);
         let inputs = Self::gaussian_mixture(&config);
-        let exact = ProductTable::new(&ExactMultiplier::new(8));
         // The reference run is one forward pass per sample — all
         // independent, so fan them out over the execution pool.
         let exact_predictions = carma_exec::par_map(&inputs, |x| network.predict_with(x, &exact));
@@ -153,16 +166,21 @@ impl AccuracyEvaluator {
 
     /// Scores `mult`: fraction of samples whose predicted class differs
     /// from the exact-multiplier prediction. `mult`'s products are
-    /// tabulated once, then every sample runs on the table.
+    /// tabulated once, then every sample runs on the tables.
     ///
     /// # Panics
     ///
     /// Panics if `mult` is not 8 bits wide or returns a product wider
     /// than 16 bits.
     pub fn accuracy_drop(&self, mult: &dyn Multiplier) -> f64 {
-        let table = ProductTable::new(mult);
+        self.drop_with(&self.network.tabulate(ProductTable::new(mult)))
+    }
+
+    /// The fraction of samples whose prediction under `tables` differs
+    /// from the exact one.
+    fn drop_with(&self, tables: &NetworkTables) -> f64 {
         let flips = carma_exec::par_map_indexed(&self.inputs, |i, input| {
-            usize::from(self.network.predict_with(input, &table) != self.exact_predictions[i])
+            usize::from(self.network.predict_with(input, tables) != self.exact_predictions[i])
         })
         .into_iter()
         .sum::<usize>();
@@ -176,11 +194,25 @@ impl AccuracyEvaluator {
     /// multipliers into the paper's 0.5 % / 1.0 % / 2.0 % classes.
     ///
     /// Library members are scored in parallel on the `carma-exec`
-    /// pool (each member's LUT compilation + behavioural run is
-    /// independent); results stay in library order.
+    /// pool (each member's tabulation + behavioural run is
+    /// independent); results stay in library order. Each approximate
+    /// member is tabulated from a sweep of only the operand pairs the
+    /// engine reads, and its tables are dropped once it is scored.
     pub fn evaluate_library<'lib>(
         &self,
         library: &'lib MultiplierLibrary,
+    ) -> Vec<(&'lib MultiplierEntry, f64)> {
+        self.evaluate_library_observed(library, &|| ())
+    }
+
+    /// [`Self::evaluate_library`], calling `tabulating` as each
+    /// approximate member's tables start to compile and dropping what
+    /// it returns once they are built (carma-core opens a trace span
+    /// there).
+    pub fn evaluate_library_observed<'lib, G>(
+        &self,
+        library: &'lib MultiplierLibrary,
+        tabulating: &(impl Fn() -> G + Sync),
     ) -> Vec<(&'lib MultiplierEntry, f64)> {
         let entries = library.entries();
         carma_exec::par_gen(entries.len(), |i| {
@@ -188,8 +220,12 @@ impl AccuracyEvaluator {
             let drop = if entry.profile.error_rate == 0.0 {
                 0.0
             } else {
-                let lut = carma_multiplier::LutMultiplier::compile(&entry.circuit);
-                self.accuracy_drop(&lut)
+                let tables = {
+                    let _tabulating = tabulating();
+                    self.network
+                        .tabulate(ProductTable::of_circuit(&entry.circuit))
+                };
+                self.drop_with(&tables)
             };
             (entry, drop)
         })
@@ -267,6 +303,30 @@ mod tests {
         for (_, d) in &results {
             assert!((0.0..=1.0).contains(d));
         }
+    }
+
+    #[test]
+    fn evaluate_library_equals_accuracy_drop_of_each_full_lut() {
+        // A calibration that grades the drops, so a broken prediction
+        // path cannot hide behind drops that are all 0.
+        let eval = AccuracyEvaluator::new(EvaluatorConfig {
+            samples: 96,
+            noise: 48,
+            ..EvaluatorConfig::default()
+        });
+        let mut graded = false;
+        for lib in [
+            MultiplierLibrary::truncation_ladder(8, 4),
+            MultiplierLibrary::classic_families(8, 4),
+        ] {
+            for (entry, drop) in eval.evaluate_library(&lib) {
+                let lut = LutMultiplier::compile(&entry.circuit);
+                let expected = eval.accuracy_drop(&lut);
+                assert_eq!(drop.to_bits(), expected.to_bits(), "{}", entry.name);
+                graded |= drop > 0.0;
+            }
+        }
+        assert!(graded, "every drop is 0");
     }
 
     #[test]

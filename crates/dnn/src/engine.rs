@@ -4,8 +4,9 @@
 //! [`Multiplier`] — the mechanism by which approximate units change
 //! network behaviour, exactly as in ApproxTrain's LUT-based simulation.
 //! Before a pass the multiplier's products are tabulated once into a
-//! `ProductTable`; the kernels then read products from it and never
-//! call the multiplier per MAC.
+//! `ProductTable`, and each conv layer's weights are folded into it as
+//! a transposed `ConvTable`; the kernels then read products from these
+//! and never call the multiplier per MAC.
 //!
 //! Quantization scheme: unsigned 8-bit activations (ReLU networks are
 //! non-negative), signed 8-bit weights handled in **sign-magnitude**
@@ -15,9 +16,7 @@
 //! exact 32-bit (the bound is asserted when the network is built);
 //! each layer requantizes by a calibrated right shift.
 
-use std::ops::Range;
-
-use carma_multiplier::{ExactMultiplier, Multiplier};
+use carma_multiplier::{ExactMultiplier, LutMultiplier, Multiplier, MultiplierCircuit};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -29,6 +28,9 @@ const MAX_WEIGHT: u8 = 127;
 /// Salt separating the calibration input's RNG stream from the
 /// weights' (both derive from the network seed).
 const CALIBRATION_SALT: u64 = 0xCA11_B4A7;
+
+/// Output channels one [`ConvTable`] cell serves.
+const LANES: usize = 8;
 
 /// Every product an 8-bit multiplier contributes to a forward pass,
 /// tabulated once: `u16` products indexed by `(|w| << 8) | a`, one
@@ -51,13 +53,30 @@ impl ProductTable {
     /// does not fit in 16 bits.
     pub(crate) fn new(mult: &dyn Multiplier) -> Self {
         assert_eq!(mult.width(), 8, "engine requires an 8-bit multiplier");
+        Self::from_fn(mult.name(), |a, w| mult.multiply(a, w))
+    }
+
+    /// Tabulates `circuit` from one sweep of only the operand pairs the
+    /// engine reads (`|w| < 128`): half those a [`LutMultiplier`] holds.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::new`].
+    pub(crate) fn of_circuit(circuit: &MultiplierCircuit) -> Self {
+        assert_eq!(circuit.width(), 8, "engine requires an 8-bit multiplier");
+        let products = LutMultiplier::tabulate(circuit, usize::from(MAX_WEIGHT) + 1);
+        Self::from_fn(circuit.netlist().name(), |a, w| {
+            u64::from(products[(w as usize) << 8 | a as usize])
+        })
+    }
+
+    fn from_fn(name: &str, product: impl Fn(u32, u32) -> u64) -> Self {
         let mut rows = vec![[0u16; 256]; usize::from(MAX_WEIGHT) + 1].into_boxed_slice();
         for (w, row) in rows.iter_mut().enumerate().skip(1) {
-            for (a, product) in row.iter_mut().enumerate().skip(1) {
-                let p = mult.multiply(a as u32, w as u32);
-                *product = u16::try_from(p).unwrap_or_else(|_| {
-                    panic!("{}: product {a}×{w} = {p} exceeds 16 bits", mult.name())
-                });
+            for (a, entry) in row.iter_mut().enumerate().skip(1) {
+                let p = product(a as u32, w as u32);
+                *entry = u16::try_from(p)
+                    .unwrap_or_else(|_| panic!("{name}: product {a}×{w} = {p} exceeds 16 bits"));
             }
         }
         ProductTable { rows }
@@ -68,6 +87,56 @@ impl ProductTable {
     fn row(&self, w: i8) -> &[u16; 256] {
         &self.rows[usize::from(w.unsigned_abs())]
     }
+}
+
+/// One conv layer's weights folded into one multiplier's products and
+/// transposed, so that one 16-byte load per tap serves [`LANES`]
+/// output channels.
+///
+/// A tap is `(ic, ky, kx)` and a chunk is [`LANES`] consecutive output
+/// channels. Sizes depend on the layer, not on the input: 27 taps ×
+/// 4 KiB = 108 KiB for `conv3×3(3→8)`, 2 chunks × 72 taps × 4 KiB =
+/// 576 KiB for `conv3×3(8→16)`.
+struct ConvTable {
+    /// One row per `(chunk, tap)`, index `chunk · taps + tap`: cell `a`
+    /// holds activation `a`'s products with the chunk's weights at the
+    /// tap. A zero weight reads product-table row 0 and a zero
+    /// activation cell 0; both are all zeros, so zero operands need no
+    /// branch.
+    rows: Vec<[[u16; LANES]; 256]>,
+    /// Per `(chunk, tap)`: −1 in the lanes whose weight is negative, 0
+    /// elsewhere. A lane adds `(p ^ m) − m`, which is `p` or `−p`.
+    signs: Vec<[i32; LANES]>,
+}
+
+impl ConvTable {
+    fn new(conv: &QConv, products: &ProductTable) -> Self {
+        assert!(
+            conv.out_channels.is_multiple_of(LANES),
+            "conv output channels must be a multiple of {LANES}"
+        );
+        let taps = conv.in_channels * conv.kernel * conv.kernel;
+        let mut rows = Vec::with_capacity(conv.out_channels / LANES * taps);
+        let mut signs = Vec::with_capacity(rows.capacity());
+        for filters in conv.weights.chunks_exact(LANES * taps) {
+            for tap in 0..taps {
+                let weights: [i8; LANES] = std::array::from_fn(|lane| filters[lane * taps + tap]);
+                let lanes = weights.map(|w| products.row(w));
+                rows.push(std::array::from_fn(|a| lanes.map(|row| row[a])));
+                signs.push(weights.map(|w| -i32::from(w < 0)));
+            }
+        }
+        ConvTable { rows, signs }
+    }
+}
+
+/// Every table one multiplier's pass through the network reads,
+/// compiled once per multiplier and dropped with its pass: the product
+/// table (read by the classifier) and one [`ConvTable`] per conv layer,
+/// in layer order.
+pub(crate) struct NetworkTables {
+    products: ProductTable,
+    convs: Vec<ConvTable>,
 }
 
 /// A quantized stride-1 convolution layer (square kernel, symmetric
@@ -140,6 +209,14 @@ impl QuantizedNetwork {
     /// `classes` is zero, or if `input_hw` exceeds 180 (the classifier
     /// would sum more 16-bit products than an i32 accumulator holds).
     pub fn synthetic(input_hw: usize, classes: usize, seed: u64) -> Self {
+        let mut net = Self::uncalibrated(input_hw, classes, seed);
+        let exact = net.tabulate(ProductTable::new(&ExactMultiplier::new(8)));
+        net.calibrate(seed, &exact);
+        net
+    }
+
+    /// [`Self::synthetic`] before [`Self::calibrate`]: every shift is 0.
+    pub(crate) fn uncalibrated(input_hw: usize, classes: usize, seed: u64) -> Self {
         assert!(
             input_hw > 0 && input_hw.is_multiple_of(4),
             "input_hw must be a positive multiple of 4"
@@ -173,7 +250,7 @@ impl QuantizedNetwork {
             out_features: classes,
             weights: weights(classes * 16 * feat_hw * feat_hw),
         };
-        let mut net = QuantizedNetwork {
+        let net = QuantizedNetwork {
             input_channels: 3,
             input_hw,
             classes,
@@ -192,7 +269,6 @@ impl QuantizedNetwork {
                 "{taps} taps of 16-bit products overflow the i32 accumulator"
             );
         }
-        net.calibrate(seed ^ CALIBRATION_SALT);
         net
     }
 
@@ -246,15 +322,17 @@ impl QuantizedNetwork {
 
     /// Calibrates per-conv-layer requantization shifts so activations
     /// occupy the 8-bit range without saturating, using exact
-    /// multiplication on a seeded random input. Forwards layer by
-    /// layer, setting each shift from the observed maximum accumulator.
-    fn calibrate(&mut self, seed: u64) {
-        let exact = ProductTable::new(&ExactMultiplier::new(8));
-        let mut act = self.calibration_input(seed);
+    /// multiplication (`exact`, compiled for this network) on an input
+    /// seeded from the network `seed`. Forwards layer by layer, setting
+    /// each shift from the observed maximum accumulator.
+    pub(crate) fn calibrate(&mut self, seed: u64, exact: &NetworkTables) {
+        let mut act = self.calibration_input(seed ^ CALIBRATION_SALT);
+        let mut convs = exact.convs.iter();
         for layer in &mut self.layers {
             match layer {
                 QLayer::Conv(conv) => {
-                    let (acc, out_hw) = conv.accumulate(&act, &exact);
+                    let table = convs.next().expect("one table per conv layer");
+                    let (acc, out_hw) = conv.accumulate(&act, table);
                     conv.shift = calibrated_shift(acc.iter().copied().max().map_or(0, i64::from));
                     act = conv.requantize(&acc, out_hw);
                 }
@@ -262,6 +340,20 @@ impl QuantizedNetwork {
                 QLayer::Linear(_) => {}
             }
         }
+    }
+
+    /// Compiles the tables one multiplier's pass reads from its
+    /// product table: one transposed [`ConvTable`] per conv layer.
+    pub(crate) fn tabulate(&self, products: ProductTable) -> NetworkTables {
+        let convs = self
+            .layers
+            .iter()
+            .filter_map(|layer| match layer {
+                QLayer::Conv(conv) => Some(ConvTable::new(conv, &products)),
+                _ => None,
+            })
+            .collect();
+        NetworkTables { products, convs }
     }
 
     /// Runs one forward pass, returning the raw class logits.
@@ -272,34 +364,36 @@ impl QuantizedNetwork {
     /// multiplier is not 8 bits wide or returns a product wider than
     /// 16 bits.
     pub fn forward(&self, input: &Tensor<u8>, mult: &dyn Multiplier) -> Vec<i64> {
-        self.forward_with(input, &ProductTable::new(mult))
+        self.forward_with(input, &self.tabulate(ProductTable::new(mult)))
     }
 
-    /// [`Self::forward`] over an already tabulated multiplier.
-    pub(crate) fn forward_with(&self, input: &Tensor<u8>, table: &ProductTable) -> Vec<i64> {
+    /// [`Self::forward`] over a multiplier's compiled tables.
+    pub(crate) fn forward_with(&self, input: &Tensor<u8>, tables: &NetworkTables) -> Vec<i64> {
         assert_eq!(input.channels(), self.input_channels, "channel mismatch");
         assert_eq!(input.height(), self.input_hw, "height mismatch");
         assert_eq!(input.width(), self.input_hw, "width mismatch");
         let mut act = input.clone();
         let mut logits = Vec::new();
+        let mut convs = tables.convs.iter();
         for layer in &self.layers {
             match layer {
                 QLayer::Conv(conv) => {
+                    let table = convs.next().expect("one table per conv layer");
                     let (acc, out_hw) = conv.accumulate(&act, table);
                     act = conv.requantize(&acc, out_hw);
                 }
                 QLayer::MaxPool => act = max_pool_2x2(&act),
-                QLayer::Linear(lin) => logits = lin.forward(&act, table),
+                QLayer::Linear(lin) => logits = lin.forward(&act, &tables.products),
             }
         }
         logits
     }
 
-    /// Runs a forward pass over an already tabulated multiplier and
+    /// Runs a forward pass over a multiplier's compiled tables and
     /// returns the predicted class (argmax of the logits; ties break to
     /// the lower index).
-    pub(crate) fn predict_with(&self, input: &Tensor<u8>, table: &ProductTable) -> usize {
-        argmax(&self.forward_with(input, table))
+    pub(crate) fn predict_with(&self, input: &Tensor<u8>, tables: &NetworkTables) -> usize {
+        argmax(&self.forward_with(input, tables))
     }
 }
 
@@ -319,77 +413,60 @@ impl QConv {
         in_hw + 2 * self.padding - self.kernel + 1
     }
 
-    /// The output rows whose input row under kernel row `ky` lies
-    /// inside the image (the rest read padding, which is zero and
-    /// contributes nothing).
-    fn rows_inside(&self, ky: usize, in_hw: usize, out_hw: usize) -> Range<usize> {
-        let lo = self.padding.saturating_sub(ky);
-        let hi = (in_hw + self.padding).saturating_sub(ky).min(out_hw);
-        lo..hi.max(lo)
-    }
-
-    /// Convolves `input`, returning raw ReLU-ed accumulators (flat
-    /// `[out_c][y][x]`) and the output spatial size.
+    /// Convolves `input` with the weights folded into `table`,
+    /// returning raw ReLU-ed accumulators (flat `[out_c][y][x]`) and
+    /// the output spatial size.
     ///
-    /// Weight-stationary over a copy of the input whose rows carry
-    /// `padding` zero columns on both sides. Each output channel
-    /// accumulates into a plane with the same row pitch, so a tap
-    /// `(ky, kx)` adds its products over one contiguous run spanning
-    /// every output row it reaches: a row's end wraps into the pitch's
-    /// spare columns, which are discarded. Neither padding nor row
-    /// boundaries enter the inner loop, and the weight sign picks the
-    /// loop rather than a per-MAC branch.
-    fn accumulate(&self, input: &Tensor<u8>, table: &ProductTable) -> (Vec<i32>, usize) {
+    /// Reads a copy of the input with `padding` zero rows and columns on
+    /// every side, so a tap `(ic, ky, kx)` of output `(y, x)` is the byte
+    /// at a fixed offset from the window's first pixel and the inner
+    /// loop knows nothing of padding. Per chunk of [`LANES`] output
+    /// channels and output position, `LANES` accumulators sum one table
+    /// cell per tap; every partial sum stays within the i32 bound the
+    /// network asserts, so the order of the sums does not matter.
+    fn accumulate(&self, input: &Tensor<u8>, table: &ConvTable) -> (Vec<i32>, usize) {
         let in_hw = input.height();
         let out_hw = self.out_hw(in_hw);
         let (k, pad) = (self.kernel, self.padding);
         let pitch = in_hw + 2 * pad;
-        let mut padded = vec![0u8; self.in_channels * in_hw * pitch];
+        let mut padded = vec![0u8; self.in_channels * pitch * pitch];
         for (dst, src) in padded
-            .chunks_exact_mut(pitch)
-            .zip(input.as_slice().chunks_exact(in_hw))
+            .chunks_exact_mut(pitch * pitch)
+            .zip(input.as_slice().chunks_exact(in_hw * in_hw))
         {
-            dst[pad..pad + in_hw].copy_from_slice(src);
+            for (dst, src) in dst[pad * pitch..]
+                .chunks_exact_mut(pitch)
+                .zip(src.chunks_exact(in_hw))
+            {
+                dst[pad..pad + in_hw].copy_from_slice(src);
+            }
         }
-        let rows: Vec<Range<usize>> = (0..k)
-            .map(|ky| self.rows_inside(ky, in_hw, out_hw))
+        let offsets: Vec<usize> = (0..self.in_channels)
+            .flat_map(|ic| (0..k * k).map(move |t| (ic * pitch + t / k) * pitch + t % k))
             .collect();
-        let mut plane = vec![0i32; out_hw * pitch];
-        let mut acc = Vec::with_capacity(self.out_channels * out_hw * out_hw);
-        for filter in self.weights.chunks_exact(self.in_channels * k * k) {
-            plane.fill(0);
-            let images = padded.chunks_exact(in_hw * pitch);
-            for (image, taps) in images.zip(filter.chunks_exact(k * k)) {
-                for (ky, (ys, taps)) in rows.iter().zip(taps.chunks_exact(k)).enumerate() {
-                    if ys.is_empty() {
-                        continue;
+        let taps = offsets.len();
+        let plane = out_hw * out_hw;
+        let mut acc = vec![0i32; self.out_channels * plane];
+        let chunks = table
+            .rows
+            .chunks_exact(taps)
+            .zip(table.signs.chunks_exact(taps));
+        for (out, (rows, signs)) in acc.chunks_exact_mut(LANES * plane).zip(chunks) {
+            for y in 0..out_hw {
+                for x in 0..out_hw {
+                    let window = &padded[y * pitch + x..];
+                    let mut sums = [0i32; LANES];
+                    for ((&offset, row), sign) in offsets.iter().zip(rows).zip(signs) {
+                        let cell = &row[usize::from(window[offset])];
+                        for ((sum, &p), &m) in sums.iter_mut().zip(cell).zip(sign) {
+                            *sum += (i32::from(p) ^ m) - m;
+                        }
                     }
-                    // From the first reached row's column 0 to the last
-                    // reached row's last output column.
-                    let len = (ys.len() - 1) * pitch + out_hw;
-                    let dst = &mut plane[ys.start * pitch..][..len];
-                    let first_input_row = ys.start + ky - pad;
-                    for (kx, &w) in taps.iter().enumerate() {
-                        if w == 0 {
-                            continue;
-                        }
-                        let row = table.row(w);
-                        let src = &image[first_input_row * pitch + kx..][..len];
-                        if w > 0 {
-                            for (d, &a) in dst.iter_mut().zip(src) {
-                                *d += i32::from(row[usize::from(a)]);
-                            }
-                        } else {
-                            for (d, &a) in dst.iter_mut().zip(src) {
-                                *d -= i32::from(row[usize::from(a)]);
-                            }
-                        }
+                    // ReLU.
+                    for (lane, sum) in sums.into_iter().enumerate() {
+                        out[lane * plane + y * out_hw + x] = sum.max(0);
                     }
                 }
-            }
-            // ReLU, dropping the spare columns.
-            for r in plane.chunks_exact(pitch) {
-                acc.extend(r[..out_hw].iter().map(|&v| v.max(0)));
             }
         }
         (acc, out_hw)
@@ -539,7 +616,7 @@ mod tests {
     fn predict_returns_class_index() {
         let net = QuantizedNetwork::synthetic(16, 7, 5);
         let input = random_input(6, 3, 16);
-        let exact = ProductTable::new(&ExactMultiplier::new(8));
+        let exact = net.tabulate(ProductTable::new(&ExactMultiplier::new(8)));
         let c = net.predict_with(&input, &exact);
         assert!(c < 7);
     }

@@ -8,6 +8,12 @@
 //! a unit that returns `0xFFFF` for every pair (the largest product the
 //! table holds, so the i32 accumulator sits as close to its bound as
 //! any multiplier can push it).
+//!
+//! Two narrower suites pin the pieces the forward pass is built from:
+//! the transposed conv kernel against `reference_accumulate` on random
+//! weights and random product tables at every input size up to 32, and
+//! the half-sweep product table of every library entry against the one
+//! tabulated from its full [`LutMultiplier`].
 
 use std::sync::{Arc, OnceLock};
 
@@ -19,8 +25,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use super::{
-    argmax, calibrated_shift, max_pool_2x2, ProductTable, QConv, QLayer, QLinear, QuantizedNetwork,
-    CALIBRATION_SALT,
+    argmax, calibrated_shift, max_pool_2x2, ConvTable, ProductTable, QConv, QLayer, QLinear,
+    QuantizedNetwork, CALIBRATION_SALT, MAX_WEIGHT,
 };
 use crate::tensor::Tensor;
 
@@ -166,10 +172,11 @@ impl Multiplier for Saturating {
     }
 }
 
-/// Every multiplier the suite pins, built once per test binary.
-fn roster() -> &'static [Arc<dyn Multiplier>] {
-    static ROSTER: OnceLock<Vec<Arc<dyn Multiplier>>> = OnceLock::new();
-    ROSTER.get_or_init(|| {
+/// Every library the suite pins, built once per test binary: ladder and
+/// classic at depth 4, a small evolved library, and `approx8.v`.
+fn libraries() -> &'static [MultiplierLibrary] {
+    static LIBRARIES: OnceLock<Vec<MultiplierLibrary>> = OnceLock::new();
+    LIBRARIES.get_or_init(|| {
         let base = LibraryConfig::default();
         let evolved = MultiplierLibrary::evolve(LibraryConfig {
             max_truncation: 2,
@@ -182,23 +189,31 @@ fn roster() -> &'static [Arc<dyn Multiplier>] {
                 .join("../../examples/libraries/approx8.v"),
         )
         .expect("approx8.v is admitted");
-        let libraries = [
+        let libraries = vec![
             MultiplierLibrary::truncation_ladder(8, 4),
             MultiplierLibrary::classic_families(8, 4),
             evolved,
             carma_import::build_library(&approx8),
         ];
-        let mut roster: Vec<Arc<dyn Multiplier>> =
-            vec![Arc::new(ExactMultiplier::new(8)), Arc::new(Saturating)];
         for library in &libraries {
             assert!(library.len() > 1, "library has no approximate entry");
-            roster.extend(
-                library
-                    .entries()
-                    .iter()
-                    .map(|e| Arc::new(LutMultiplier::compile(&e.circuit)) as Arc<dyn Multiplier>),
-            );
         }
+        libraries
+    })
+}
+
+/// Every multiplier the suite pins, built once per test binary.
+fn roster() -> &'static [Arc<dyn Multiplier>] {
+    static ROSTER: OnceLock<Vec<Arc<dyn Multiplier>>> = OnceLock::new();
+    ROSTER.get_or_init(|| {
+        let mut roster: Vec<Arc<dyn Multiplier>> =
+            vec![Arc::new(ExactMultiplier::new(8)), Arc::new(Saturating)];
+        roster.extend(libraries().iter().flat_map(|library| {
+            library
+                .entries()
+                .iter()
+                .map(|e| Arc::new(LutMultiplier::compile(&e.circuit)) as Arc<dyn Multiplier>)
+        }));
         roster
     })
 }
@@ -218,8 +233,8 @@ fn random_input(seed: u64, hw: usize) -> Tensor<u8> {
 /// Runs `input` through both paths under every roster multiplier.
 fn assert_paths_agree(net: &QuantizedNetwork, input: &Tensor<u8>) -> Result<(), String> {
     for mult in roster() {
-        let table = ProductTable::new(mult.as_ref());
-        let fast = net.forward_with(input, &table);
+        let tables = net.tabulate(ProductTable::new(mult.as_ref()));
+        let fast = net.forward_with(input, &tables);
         let reference = net.reference_forward(input, mult.as_ref());
         prop_assert!(
             fast == reference,
@@ -227,7 +242,7 @@ fn assert_paths_agree(net: &QuantizedNetwork, input: &Tensor<u8>) -> Result<(), 
             mult.name()
         );
         prop_assert!(
-            net.predict_with(input, &table) == argmax(&reference),
+            net.predict_with(input, &tables) == argmax(&reference),
             "argmax under {}",
             mult.name()
         );
@@ -251,6 +266,119 @@ proptest! {
             // All-255 pixels: the largest activation in every product.
             assert_paths_agree(&net, &Tensor::from_vec(3, hw, hw, vec![255; 3 * hw * hw]))?;
         }
+    }
+}
+
+/// Serves the products of a random table: `products[(b << 8) | a]`
+/// for `b` up to [`MAX_WEIGHT`].
+#[derive(Debug)]
+struct Tabled(Vec<u16>);
+
+impl Tabled {
+    /// Uniform products, with 0 and `0xFFFF` each drawn one time in
+    /// eight, zero-operand entries included.
+    fn random(seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let entries = (usize::from(MAX_WEIGHT) + 1) << 8;
+        Tabled(
+            (0..entries)
+                .map(|_| match rng.random_range(0u32..8) {
+                    0 => 0,
+                    1 => 0xFFFF,
+                    _ => rng.random_range(0u32..=0xFFFF) as u16,
+                })
+                .collect(),
+        )
+    }
+}
+
+impl Multiplier for Tabled {
+    fn width(&self) -> u32 {
+        8
+    }
+
+    fn multiply(&self, a: u32, b: u32) -> u64 {
+        u64::from(self.0[(b as usize) << 8 | a as usize])
+    }
+
+    fn name(&self) -> &str {
+        "tabled"
+    }
+}
+
+/// The synthetic network's conv layer `in_channels → out_channels`,
+/// with seeded random weights: 0, 127 and −127 each drawn one time in
+/// eight.
+fn random_conv(seed: u64, in_channels: usize, out_channels: usize) -> QConv {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let max = i32::from(MAX_WEIGHT);
+    QConv {
+        in_channels,
+        out_channels,
+        kernel: 3,
+        padding: 1,
+        weights: (0..out_channels * in_channels * 9)
+            .map(|_| match rng.random_range(0u32..8) {
+                0 => 0,
+                1 => MAX_WEIGHT as i8,
+                2 => -(MAX_WEIGHT as i8),
+                _ => rng.random_range(-max..=max) as i8,
+            })
+            .collect(),
+        shift: 0,
+    }
+}
+
+/// A seeded random layer input: 0 and 255 each drawn one time in
+/// eight.
+fn random_activations(seed: u64, channels: usize, hw: usize) -> Tensor<u8> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    Tensor::from_vec(
+        channels,
+        hw,
+        hw,
+        (0..channels * hw * hw)
+            .map(|_| match rng.random_range(0u32..8) {
+                0 => 0,
+                1 => 255,
+                _ => rng.random_range(0u32..=255) as u8,
+            })
+            .collect(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn conv_kernel_is_bit_identical_to_reference_accumulate(
+        seed in 0u64..u64::MAX,
+        wide in 0usize..2,
+        hw in 1usize..33,
+    ) {
+        // The network's two conv shapes: 3 → 8 and 8 → 16.
+        let (in_channels, out_channels) = [(3, 8), (8, 16)][wide];
+        let mult = Tabled::random(seed);
+        let conv = random_conv(seed ^ 1, in_channels, out_channels);
+        let input = random_activations(seed ^ 2, in_channels, hw);
+        let table = ConvTable::new(&conv, &ProductTable::new(&mult));
+        let (acc, out_hw) = conv.accumulate(&input, &table);
+        let (reference, reference_hw) = conv.reference_accumulate(&input, &mult);
+        prop_assert_eq!(out_hw, reference_hw);
+        let acc: Vec<i64> = acc.into_iter().map(i64::from).collect();
+        prop_assert!(acc == reference, "accumulators differ at input size {hw}");
+    }
+}
+
+#[test]
+fn half_sweep_tables_equal_full_lut_tables() {
+    for entry in libraries().iter().flat_map(MultiplierLibrary::entries) {
+        let half = ProductTable::of_circuit(&entry.circuit);
+        let full = ProductTable::new(&LutMultiplier::compile(&entry.circuit));
+        for (w, (h, f)) in half.rows.iter().zip(full.rows.iter()).enumerate() {
+            assert_eq!(h, f, "{}: row |w| = {w}", entry.name);
+        }
+        assert_eq!(half.rows.len(), full.rows.len(), "{}", entry.name);
     }
 }
 

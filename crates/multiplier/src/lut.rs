@@ -98,26 +98,42 @@ impl LutMultiplier {
     /// Panics if the circuit is wider than [`Self::MAX_WIDTH`].
     pub fn compile(circuit: &MultiplierCircuit) -> Self {
         let n = circuit.width();
+        LutMultiplier {
+            width: n,
+            name: circuit.netlist().name().to_string(),
+            table: Arc::new(Self::tabulate(circuit, 1 << n)),
+        }
+    }
+
+    /// The first `rows` rows of `circuit`'s table: entry `(b << n) | a`
+    /// is the product of `a` and `b`, for every `a` and every `b` below
+    /// `rows`, from one [`LaneSim::sweep`] of just those pairs. A caller
+    /// that never reads the higher rows sweeps less: the DNN engine's
+    /// weight magnitudes stay below 128, half an 8-bit table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit is wider than [`Self::MAX_WIDTH`] or `rows`
+    /// exceeds `2^n`.
+    pub fn tabulate(circuit: &MultiplierCircuit, rows: usize) -> Vec<u32> {
+        let n = circuit.width();
         assert!(
             n <= Self::MAX_WIDTH,
             "LUT compilation supports width ≤ {}, got {n}",
             Self::MAX_WIDTH
         );
+        assert!(rows <= 1 << n, "{rows} rows exceed a {n}-bit table");
         // Entry `(b << n) | a` is the pair's sweep assignment index;
         // the sweep hands the assignments over in index order, so the
         // table is written once, into its final allocation.
-        let entries = 1 << (2 * n);
+        let entries = rows << n;
         let mut table = Vec::with_capacity(entries);
         LaneSim::new(circuit.netlist()).sweep(0..entries as u64, |first, lanes| {
             debug_assert_eq!(first as usize, table.len());
             let live = lanes.len().min(entries - table.len());
             table.extend(lanes[..live].iter().map(|&product| product as u32));
         });
-        LutMultiplier {
-            width: n,
-            name: circuit.netlist().name().to_string(),
-            table: Arc::new(table),
-        }
+        table
     }
 }
 
@@ -179,6 +195,23 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn tabulated_rows_are_a_prefix_of_the_full_table() {
+        let base = MultiplierCircuit::generate(8, ReductionKind::Dadda);
+        let approx = ApproxGenome::truncation(3, 2).apply(&base);
+        let lut = LutMultiplier::compile(&approx);
+        let half = LutMultiplier::tabulate(&approx, 128);
+        assert_eq!(half.len(), 128 << 8);
+        assert_eq!(half[..], lut.table[..half.len()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows exceed")]
+    fn rows_past_the_table_rejected() {
+        let c = MultiplierCircuit::generate(4, ReductionKind::Array);
+        let _ = LutMultiplier::tabulate(&c, 17);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   never by the registry, and is excluded from every report sink);
 //! - the memo stages annotate their spans with hit/miss outcomes;
 //! - a context miss explains its time: the accuracy reference pass and
-//!   the library pass are child spans of `memo.context`, and the
+//!   the library pass are child spans of `memo.context`, each compiled
+//!   multiplier has one `accuracy.tabulate` span under them, and the
 //!   `dnn.macs` counter records the work they did.
 //! - the GA engines count their genome evaluations at the source:
 //!   `nsga2.evals` and `ga.evals` equal what the run's budgets imply;
@@ -155,6 +156,56 @@ fn context_miss_has_accuracy_child_spans_and_a_mac_counter() {
         Some(expected),
         "dnn.macs counter"
     );
+}
+
+#[test]
+fn each_compiled_multiplier_has_one_tabulate_span_at_any_width() {
+    let resolved = small_fig2()
+        .resolve(&ExperimentRegistry::standard(), None, None)
+        .expect("resolves");
+    let approximate = resolved
+        .library()
+        .entries()
+        .iter()
+        .filter(|e| e.profile.error_rate != 0.0)
+        .count();
+    for threads in [1, 8] {
+        let (trace, _) = traced_run(threads);
+        let misses = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "memo.context" && s.annotation == Some("miss"))
+            .count();
+        assert!(misses > 0, "a cold run misses the context stage");
+        let parent_name = |parent: u64| {
+            trace
+                .spans
+                .iter()
+                .find(|s| s.id == parent)
+                .map_or("(none)", |s| s.name)
+        };
+        let under = |pass: &str| {
+            trace
+                .spans
+                .iter()
+                .filter(|s| s.name == "accuracy.tabulate" && parent_name(s.parent) == pass)
+                .count()
+        };
+        let total = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "accuracy.tabulate")
+            .count();
+        // The exact multiplier under the reference pass, and each
+        // approximate entry under the library pass, once per miss.
+        assert_eq!(under("accuracy.reference"), misses, "threads = {threads}");
+        assert_eq!(
+            under("accuracy.library"),
+            misses * approximate,
+            "threads = {threads}"
+        );
+        assert_eq!(total, misses * (approximate + 1), "threads = {threads}");
+    }
 }
 
 /// The value of counter `name` in `trace` (`None` if never counted).
