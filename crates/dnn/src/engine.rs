@@ -6,15 +6,17 @@
 //! Before a pass the multiplier's products are tabulated once into a
 //! `ProductTable`, and each conv layer's weights are folded into it as
 //! a transposed `ConvTable`; the kernels then read products from these
-//! and never call the multiplier per MAC.
+//! and never call the multiplier per MAC. Each conv layer runs as one
+//! fused stage (conv → ReLU → 2×2 max pool → requantize) that writes
+//! its bytes straight into the next layer's input.
 //!
 //! Quantization scheme: unsigned 8-bit activations (ReLU networks are
 //! non-negative), signed 8-bit weights handled in **sign-magnitude**
 //! form, so each product is an *unsigned* 8×8 multiplication — the
 //! datatype the paper's approximate multipliers implement — with the
-//! weight sign applied to the accumulator afterwards. Accumulation is
+//! weight sign applied to the product afterwards. Accumulation is
 //! exact 32-bit (the bound is asserted when the network is built);
-//! each layer requantizes by a calibrated right shift.
+//! each conv stage requantizes by a calibrated right shift.
 
 use carma_multiplier::{ExactMultiplier, LutMultiplier, Multiplier, MultiplierCircuit};
 use rand::rngs::StdRng;
@@ -31,6 +33,13 @@ const CALIBRATION_SALT: u64 = 0xCA11_B4A7;
 
 /// Output channels one [`ConvTable`] cell serves.
 const LANES: usize = 8;
+
+/// Side of every conv kernel.
+const KERNEL: usize = 3;
+
+/// Zero pixels on each side of a conv layer's input, so that the
+/// stride-1 output is as large as the input.
+const PADDING: usize = KERNEL / 2;
 
 /// Every product an 8-bit multiplier contributes to a forward pass,
 /// tabulated once: `u16` products indexed by `(|w| << 8) | a`, one
@@ -100,13 +109,16 @@ impl ProductTable {
 struct ConvTable {
     /// One row per `(chunk, tap)`, index `chunk · taps + tap`: cell `a`
     /// holds activation `a`'s products with the chunk's weights at the
-    /// tap. A zero weight reads product-table row 0 and a zero
-    /// activation cell 0; both are all zeros, so zero operands need no
-    /// branch.
+    /// tap, stored as `p ^ 0xFFFF` (that is, `0xFFFF − p`) in the lanes
+    /// whose weight is negative. A zero weight reads product-table row
+    /// 0 and a zero activation cell 0; both are all zeros, so zero
+    /// operands need no branch.
     rows: Vec<[[u16; LANES]; 256]>,
-    /// Per `(chunk, tap)`: −1 in the lanes whose weight is negative, 0
-    /// elsewhere. A lane adds `(p ^ m) − m`, which is `p` or `−p`.
-    signs: Vec<[i32; LANES]>,
+    /// Per chunk: each lane's starting sum, −0xFFFF for every negative
+    /// weight among its taps, so that adding one cell per tap sums the
+    /// signed products. Every partial sum stays within ±taps × 0xFFFF,
+    /// the i32 bound the network asserts.
+    bias: Vec<[i32; LANES]>,
 }
 
 impl ConvTable {
@@ -115,18 +127,25 @@ impl ConvTable {
             conv.out_channels.is_multiple_of(LANES),
             "conv output channels must be a multiple of {LANES}"
         );
-        let taps = conv.in_channels * conv.kernel * conv.kernel;
+        let taps = conv.taps();
         let mut rows = Vec::with_capacity(conv.out_channels / LANES * taps);
-        let mut signs = Vec::with_capacity(rows.capacity());
+        let mut bias = Vec::with_capacity(conv.out_channels / LANES);
         for filters in conv.weights.chunks_exact(LANES * taps) {
+            let mut start = [0i32; LANES];
             for tap in 0..taps {
                 let weights: [i8; LANES] = std::array::from_fn(|lane| filters[lane * taps + tap]);
+                let flips = weights.map(|w| if w < 0 { u16::MAX } else { 0 });
                 let lanes = weights.map(|w| products.row(w));
-                rows.push(std::array::from_fn(|a| lanes.map(|row| row[a])));
-                signs.push(weights.map(|w| -i32::from(w < 0)));
+                rows.push(std::array::from_fn(|a| {
+                    std::array::from_fn(|lane| lanes[lane][a] ^ flips[lane])
+                }));
+                for (start, flip) in start.iter_mut().zip(flips) {
+                    *start -= i32::from(flip);
+                }
             }
+            bias.push(start);
         }
-        ConvTable { rows, signs }
+        ConvTable { rows, bias }
     }
 }
 
@@ -139,15 +158,13 @@ pub(crate) struct NetworkTables {
     convs: Vec<ConvTable>,
 }
 
-/// A quantized stride-1 convolution layer (square kernel, symmetric
-/// padding).
+/// A quantized 3×3 convolution (stride 1, one pixel of zero padding),
+/// run as one fused stage: conv → ReLU → 2×2/2 max pool → requantize.
 #[derive(Debug, Clone)]
 pub struct QConv {
     in_channels: usize,
     out_channels: usize,
-    kernel: usize,
-    padding: usize,
-    /// Weights in `[out_c][in_c][k][k]` order.
+    /// Weights in `[out_c][in_c][ky][kx]` order.
     weights: Vec<i8>,
     /// Right-shift applied at requantization (calibrated).
     shift: u32,
@@ -162,28 +179,6 @@ pub struct QLinear {
     weights: Vec<i8>,
 }
 
-/// One layer of the behavioural network.
-#[derive(Debug, Clone)]
-pub enum QLayer {
-    /// Convolution + ReLU + requantize.
-    Conv(QConv),
-    /// 2×2/2 max pooling.
-    MaxPool,
-    /// Final classifier (produces logits, no requantization).
-    Linear(QLinear),
-}
-
-impl QLayer {
-    /// Products summed into each output (0 for pooling).
-    fn taps(&self) -> usize {
-        match self {
-            QLayer::Conv(c) => c.in_channels * c.kernel * c.kernel,
-            QLayer::MaxPool => 0,
-            QLayer::Linear(l) => l.in_features,
-        }
-    }
-}
-
 /// A small quantized CNN with pluggable multipliers.
 ///
 /// Built via [`QuantizedNetwork::synthetic`], which creates the
@@ -194,7 +189,10 @@ pub struct QuantizedNetwork {
     input_channels: usize,
     input_hw: usize,
     classes: usize,
-    layers: Vec<QLayer>,
+    /// The conv stages in order; each halves the spatial size.
+    convs: Vec<QConv>,
+    /// Final classifier (produces logits, no requantization).
+    classifier: QLinear,
 }
 
 impl QuantizedNetwork {
@@ -231,16 +229,12 @@ impl QuantizedNetwork {
         let c1 = QConv {
             in_channels: 3,
             out_channels: 8,
-            kernel: 3,
-            padding: 1,
             weights: weights(8 * 3 * 9),
             shift: 0,
         };
         let c2 = QConv {
             in_channels: 8,
             out_channels: 16,
-            kernel: 3,
-            padding: 1,
             weights: weights(16 * 8 * 9),
             shift: 0,
         };
@@ -254,16 +248,11 @@ impl QuantizedNetwork {
             input_channels: 3,
             input_hw,
             classes,
-            layers: vec![
-                QLayer::Conv(c1),
-                QLayer::MaxPool,
-                QLayer::Conv(c2),
-                QLayer::MaxPool,
-                QLayer::Linear(fc),
-            ],
+            convs: vec![c1, c2],
+            classifier: fc,
         };
-        for layer in &net.layers {
-            let taps = layer.taps();
+        let taps = net.convs.iter().map(QConv::taps);
+        for taps in taps.chain([net.classifier.in_features]) {
             assert!(
                 taps as u64 * u64::from(u16::MAX) <= i32::MAX as u64,
                 "{taps} taps of 16-bit products overflow the i32 accumulator"
@@ -291,18 +280,12 @@ impl QuantizedNetwork {
     pub fn macs_per_inference(&self) -> u64 {
         let mut hw = self.input_hw;
         let mut macs = 0u64;
-        for layer in &self.layers {
-            match layer {
-                QLayer::Conv(c) => {
-                    let out_hw = c.out_hw(hw);
-                    macs += (c.out_channels * layer.taps() * out_hw * out_hw) as u64;
-                    hw = out_hw;
-                }
-                QLayer::MaxPool => hw /= 2,
-                QLayer::Linear(l) => macs += (l.in_features * l.out_features) as u64,
-            }
+        for conv in &self.convs {
+            macs += (conv.out_channels * conv.taps() * hw * hw) as u64;
+            hw /= 2;
         }
-        macs
+        let fc = &self.classifier;
+        macs + (fc.in_features * fc.out_features) as u64
     }
 
     /// The seeded random input calibration runs on. One representative
@@ -323,22 +306,20 @@ impl QuantizedNetwork {
     /// Calibrates per-conv-layer requantization shifts so activations
     /// occupy the 8-bit range without saturating, using exact
     /// multiplication (`exact`, compiled for this network) on an input
-    /// seeded from the network `seed`. Forwards layer by layer, setting
-    /// each shift from the observed maximum accumulator.
+    /// seeded from the network `seed`. Runs the conv stages in order,
+    /// setting each shift from the stage's largest pooled maximum: both
+    /// conv outputs have an even side, so every accumulator lies in a
+    /// pooling window and that maximum is the largest accumulator.
     pub(crate) fn calibrate(&mut self, seed: u64, exact: &NetworkTables) {
-        let mut act = self.calibration_input(seed ^ CALIBRATION_SALT);
-        let mut convs = exact.convs.iter();
-        for layer in &mut self.layers {
-            match layer {
-                QLayer::Conv(conv) => {
-                    let table = convs.next().expect("one table per conv layer");
-                    let (acc, out_hw) = conv.accumulate(&act, table);
-                    conv.shift = calibrated_shift(acc.iter().copied().max().map_or(0, i64::from));
-                    act = conv.requantize(&acc, out_hw);
-                }
-                QLayer::MaxPool => act = max_pool_2x2(&act),
-                QLayer::Linear(_) => {}
-            }
+        let input = self.calibration_input(seed ^ CALIBRATION_SALT);
+        let mut shifts = Vec::with_capacity(self.convs.len());
+        self.stages(&input, exact, |_, pooled| {
+            let shift = calibrated_shift(pooled.iter().copied().max().map_or(0, i64::from));
+            shifts.push(shift);
+            shift
+        });
+        for (conv, shift) in self.convs.iter_mut().zip(shifts) {
+            conv.shift = shift;
         }
     }
 
@@ -346,47 +327,63 @@ impl QuantizedNetwork {
     /// product table: one transposed [`ConvTable`] per conv layer.
     pub(crate) fn tabulate(&self, products: ProductTable) -> NetworkTables {
         let convs = self
-            .layers
+            .convs
             .iter()
-            .filter_map(|layer| match layer {
-                QLayer::Conv(conv) => Some(ConvTable::new(conv, &products)),
-                _ => None,
-            })
+            .map(|conv| ConvTable::new(conv, &products))
             .collect();
         NetworkTables { products, convs }
     }
 
-    /// Runs one forward pass, returning the raw class logits.
+    /// Runs one forward pass over a multiplier's compiled tables,
+    /// returning the raw class logits.
     ///
     /// # Panics
     ///
-    /// Panics if the input shape does not match the network, or if the
-    /// multiplier is not 8 bits wide or returns a product wider than
-    /// 16 bits.
-    pub fn forward(&self, input: &Tensor<u8>, mult: &dyn Multiplier) -> Vec<i64> {
-        self.forward_with(input, &self.tabulate(ProductTable::new(mult)))
+    /// Panics if the input shape does not match the network.
+    pub(crate) fn forward_with(&self, input: &Tensor<u8>, tables: &NetworkTables) -> Vec<i64> {
+        let acts = self.stages(input, tables, |conv, _| conv.shift);
+        let features = &acts[acts.len() - self.classifier.in_features..];
+        self.classifier.forward(features, &tables.products)
     }
 
-    /// [`Self::forward`] over a multiplier's compiled tables.
-    pub(crate) fn forward_with(&self, input: &Tensor<u8>, tables: &NetworkTables) -> Vec<i64> {
+    /// Runs `input` through every conv stage on `tables`, requantizing
+    /// each stage's pooled maxima by the shift `shift` picks for them.
+    ///
+    /// Returns the one buffer the pass writes, allocated zeroed per
+    /// call: every layer's input back to back, each conv layer's inside
+    /// a zero border of [`PADDING`] pixels, and last the classifier's,
+    /// flat in `[c][y][x]` order. Each part is written once, so no
+    /// border is ever dirtied.
+    fn stages(
+        &self,
+        input: &Tensor<u8>,
+        tables: &NetworkTables,
+        mut shift: impl FnMut(&QConv, &[i32]) -> u32,
+    ) -> Vec<u8> {
         assert_eq!(input.channels(), self.input_channels, "channel mismatch");
         assert_eq!(input.height(), self.input_hw, "height mismatch");
         assert_eq!(input.width(), self.input_hw, "width mismatch");
-        let mut act = input.clone();
-        let mut logits = Vec::new();
-        let mut convs = tables.convs.iter();
-        for layer in &self.layers {
-            match layer {
-                QLayer::Conv(conv) => {
-                    let table = convs.next().expect("one table per conv layer");
-                    let (acc, out_hw) = conv.accumulate(&act, table);
-                    act = conv.requantize(&acc, out_hw);
-                }
-                QLayer::MaxPool => act = max_pool_2x2(&act),
-                QLayer::Linear(lin) => logits = lin.forward(&act, &tables.products),
-            }
+        let padded = |hw: usize| (hw + 2 * PADDING) * (hw + 2 * PADDING);
+        let (mut bytes, mut pooled_len, mut hw) = (self.classifier.in_features, 0, self.input_hw);
+        for conv in &self.convs {
+            bytes += conv.in_channels * padded(hw);
+            hw /= 2;
+            pooled_len = pooled_len.max(conv.out_channels * hw * hw);
         }
-        logits
+        let mut acts = vec![0u8; bytes];
+        let mut pooled = vec![0i32; pooled_len];
+        place(input.as_slice(), self.input_hw, PADDING, &mut acts, |a| a);
+        let (mut rest, mut hw) = (acts.as_mut_slice(), self.input_hw);
+        for (i, (conv, table)) in self.convs.iter().zip(&tables.convs).enumerate() {
+            let (src, dst) = std::mem::take(&mut rest).split_at_mut(conv.in_channels * padded(hw));
+            let pooled = &mut pooled[..conv.out_channels * (hw / 2) * (hw / 2)];
+            conv.pool(src, hw, table, pooled);
+            let shift = shift(conv, pooled);
+            let pad = if i + 1 < self.convs.len() { PADDING } else { 0 };
+            place(pooled, hw / 2, pad, dst, |v| (v >> shift).min(255) as u8);
+            (rest, hw) = (dst, hw / 2);
+        }
+        acts
     }
 
     /// Runs a forward pass over a multiplier's compiled tables and
@@ -407,130 +404,108 @@ fn calibrated_shift(max: i64) -> u32 {
     shift
 }
 
-impl QConv {
-    /// Output spatial size for an `in_hw` input.
-    fn out_hw(&self, in_hw: usize) -> usize {
-        in_hw + 2 * self.padding - self.kernel + 1
-    }
-
-    /// Convolves `input` with the weights folded into `table`,
-    /// returning raw ReLU-ed accumulators (flat `[out_c][y][x]`) and
-    /// the output spatial size.
-    ///
-    /// Reads a copy of the input with `padding` zero rows and columns on
-    /// every side, so a tap `(ic, ky, kx)` of output `(y, x)` is the byte
-    /// at a fixed offset from the window's first pixel and the inner
-    /// loop knows nothing of padding. Per chunk of [`LANES`] output
-    /// channels and output position, `LANES` accumulators sum one table
-    /// cell per tap; every partial sum stays within the i32 bound the
-    /// network asserts, so the order of the sums does not matter.
-    fn accumulate(&self, input: &Tensor<u8>, table: &ConvTable) -> (Vec<i32>, usize) {
-        let in_hw = input.height();
-        let out_hw = self.out_hw(in_hw);
-        let (k, pad) = (self.kernel, self.padding);
-        let pitch = in_hw + 2 * pad;
-        let mut padded = vec![0u8; self.in_channels * pitch * pitch];
-        for (dst, src) in padded
-            .chunks_exact_mut(pitch * pitch)
-            .zip(input.as_slice().chunks_exact(in_hw * in_hw))
+/// Writes `src`, planes of `hw`² values in `[c][y][x]` order, through
+/// `f` into `dst`, planes of `(hw + 2·pad)`² bytes, leaving a border
+/// of `pad` pixels around each plane as it is.
+fn place<T: Copy>(src: &[T], hw: usize, pad: usize, dst: &mut [u8], f: impl Fn(T) -> u8) {
+    let pitch = hw + 2 * pad;
+    for (dst, src) in dst
+        .chunks_exact_mut(pitch * pitch)
+        .zip(src.chunks_exact(hw * hw))
+    {
+        for (dst, src) in dst[pad * pitch..]
+            .chunks_exact_mut(pitch)
+            .zip(src.chunks_exact(hw))
         {
-            for (dst, src) in dst[pad * pitch..]
-                .chunks_exact_mut(pitch)
-                .zip(src.chunks_exact(in_hw))
-            {
-                dst[pad..pad + in_hw].copy_from_slice(src);
+            for (dst, &src) in dst[pad..pad + hw].iter_mut().zip(src) {
+                *dst = f(src);
             }
         }
-        let offsets: Vec<usize> = (0..self.in_channels)
-            .flat_map(|ic| (0..k * k).map(move |t| (ic * pitch + t / k) * pitch + t % k))
-            .collect();
-        let taps = offsets.len();
-        let plane = out_hw * out_hw;
-        let mut acc = vec![0i32; self.out_channels * plane];
-        let chunks = table
-            .rows
-            .chunks_exact(taps)
-            .zip(table.signs.chunks_exact(taps));
-        for (out, (rows, signs)) in acc.chunks_exact_mut(LANES * plane).zip(chunks) {
-            for y in 0..out_hw {
-                for x in 0..out_hw {
-                    let window = &padded[y * pitch + x..];
-                    let mut sums = [0i32; LANES];
-                    for ((&offset, row), sign) in offsets.iter().zip(rows).zip(signs) {
-                        let cell = &row[usize::from(window[offset])];
-                        for ((sum, &p), &m) in sums.iter_mut().zip(cell).zip(sign) {
-                            *sum += (i32::from(p) ^ m) - m;
+    }
+}
+
+impl QConv {
+    /// Products summed into each output: one per tap `(ic, ky, kx)`.
+    fn taps(&self) -> usize {
+        self.in_channels * KERNEL * KERNEL
+    }
+
+    /// The fused stage's kernel: convolves `input` (`in_channels`
+    /// planes of `hw`² pixels, each inside a zero border of
+    /// [`PADDING`] pixels) with the weights folded into `table`, and
+    /// writes each output channel's 2×2/2 pooled maxima, floored at 0,
+    /// to `pooled` (flat `[out_c][hw/2][hw/2]`).
+    ///
+    /// Floored maxima are ReLU then max pooling, and requantizing them
+    /// gives the bytes that pooling requantized activations would:
+    /// ReLU and the shift-and-clamp are monotone, so max commutes with
+    /// both. A tap `(ic, ky, kx)` of output `(y, x)` is the byte at a
+    /// fixed offset from the window's first pixel, so the inner loop
+    /// knows nothing of padding. Per chunk of [`LANES`] output channels
+    /// and pooling window, each of the window's four positions has
+    /// `LANES` accumulators that start at the chunk's bias and add one
+    /// table cell per tap; the four read each tap's row together, so
+    /// their loads overlap.
+    fn pool(&self, input: &[u8], hw: usize, table: &ConvTable, pooled: &mut [i32]) {
+        let pitch = hw + 2 * PADDING;
+        let plane = pitch * pitch;
+        let half = hw / 2;
+        let chunks = table.rows.chunks_exact(self.taps()).zip(&table.bias);
+        for (out, (rows, bias)) in pooled.chunks_exact_mut(LANES * half * half).zip(chunks) {
+            // One group of `KERNEL²` rows per input channel.
+            let (rows, _) = rows.as_chunks::<{ KERNEL * KERNEL }>();
+            for py in 0..half {
+                for px in 0..half {
+                    let window = &input[2 * (py * pitch + px)..];
+                    let mut sums = [*bias; 4];
+                    for (channel, rows) in window.chunks(plane).zip(rows) {
+                        for (t, row) in rows.iter().enumerate() {
+                            let tap = t / KERNEL * pitch + t % KERNEL;
+                            for (sums, offset) in sums.iter_mut().zip([0, 1, pitch, pitch + 1]) {
+                                let cell = &row[usize::from(channel[tap + offset])];
+                                for (sum, &p) in sums.iter_mut().zip(cell) {
+                                    *sum += i32::from(p);
+                                }
+                            }
                         }
                     }
-                    // ReLU.
-                    for (lane, sum) in sums.into_iter().enumerate() {
-                        out[lane * plane + y * out_hw + x] = sum.max(0);
+                    // Starting from 0 is the ReLU.
+                    let mut max = [0i32; LANES];
+                    for sums in sums {
+                        for (max, sum) in max.iter_mut().zip(sums) {
+                            *max = (*max).max(sum);
+                        }
+                    }
+                    for (lane, max) in max.into_iter().enumerate() {
+                        out[(lane * half + py) * half + px] = max;
                     }
                 }
             }
         }
-        (acc, out_hw)
-    }
-
-    /// Requantizes ReLU-ed accumulators to u8 via the calibrated shift.
-    fn requantize(&self, acc: &[i32], out_hw: usize) -> Tensor<u8> {
-        let data = acc
-            .iter()
-            .map(|&v| ((v >> self.shift).min(255)) as u8)
-            .collect();
-        Tensor::from_vec(self.out_channels, out_hw, out_hw, data)
     }
 }
 
 impl QLinear {
     /// Dense forward returning raw logits.
-    fn forward(&self, input: &Tensor<u8>, table: &ProductTable) -> Vec<i64> {
-        let flat = input.as_slice();
-        debug_assert_eq!(flat.len(), self.in_features, "fc input size mismatch");
+    fn forward(&self, input: &[u8], table: &ProductTable) -> Vec<i64> {
+        debug_assert_eq!(input.len(), self.in_features, "fc input size mismatch");
         self.weights
             .chunks_exact(self.in_features)
             .map(|weights| {
                 let sum: i32 = weights
                     .iter()
-                    .zip(flat)
+                    .zip(input)
                     .map(|(&w, &a)| {
-                        let p = i32::from(table.row(w)[usize::from(a)]);
-                        if w < 0 {
-                            -p
-                        } else {
-                            p
-                        }
+                        // −1 for a negative weight, else 0: `(p ^ m) − m`
+                        // is `−p` or `p` without a branch on random signs.
+                        let m = -i32::from(w < 0);
+                        (i32::from(table.row(w)[usize::from(a)]) ^ m) - m
                     })
                     .sum();
                 i64::from(sum)
             })
             .collect()
     }
-}
-
-/// 2×2 stride-2 max pooling.
-fn max_pool_2x2(input: &Tensor<u8>) -> Tensor<u8> {
-    let c = input.channels();
-    let out_h = input.height() / 2;
-    let out_w = input.width() / 2;
-    let mut out = Tensor::zeros(c, out_h, out_w);
-    for ch in 0..c {
-        for y in 0..out_h {
-            for x in 0..out_w {
-                let m = *[
-                    input.get(ch, 2 * y, 2 * x),
-                    input.get(ch, 2 * y, 2 * x + 1),
-                    input.get(ch, 2 * y + 1, 2 * x),
-                    input.get(ch, 2 * y + 1, 2 * x + 1),
-                ]
-                .into_iter()
-                .max()
-                .expect("four elements");
-                *out.get_mut(ch, y, x) = m;
-            }
-        }
-    }
-    out
 }
 
 /// Index of the maximum element (ties break low).
@@ -548,6 +523,7 @@ mod oracle;
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::max_pool_2x2;
     use super::*;
     use carma_multiplier::{ApproxGenome, LutMultiplier, MultiplierCircuit, ReductionKind};
 

@@ -9,11 +9,13 @@
 //! table holds, so the i32 accumulator sits as close to its bound as
 //! any multiplier can push it).
 //!
-//! Two narrower suites pin the pieces the forward pass is built from:
-//! the transposed conv kernel against `reference_accumulate` on random
-//! weights and random product tables at every input size up to 32, and
-//! the half-sweep product table of every library entry against the one
-//! tabulated from its full [`LutMultiplier`].
+//! A cheaper suite runs whole random networks on random product tables
+//! at every input size from 4 to 32, and two narrower suites pin the
+//! pieces the forward pass is built from: the fused conv stage's pooled
+//! maxima against `reference_accumulate` → ReLU → 2×2 max pool on
+//! random weights and random product tables at every even layer size up
+//! to 32, and the half-sweep product table of every library entry
+//! against the one tabulated from its full [`LutMultiplier`].
 
 use std::sync::{Arc, OnceLock};
 
@@ -25,32 +27,26 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use super::{
-    argmax, calibrated_shift, max_pool_2x2, ConvTable, ProductTable, QConv, QLayer, QLinear,
-    QuantizedNetwork, CALIBRATION_SALT, MAX_WEIGHT,
+    argmax, calibrated_shift, place, ConvTable, ProductTable, QConv, QLinear, QuantizedNetwork,
+    CALIBRATION_SALT, KERNEL, LANES, MAX_WEIGHT, PADDING,
 };
 use crate::tensor::Tensor;
 
 /// The engine before the product table: one `&dyn Multiplier` call per
-/// MAC, padding checked in the innermost loop, i64 accumulators. It
-/// survives only as the oracle the table-driven path is pinned to, bit
-/// for bit.
+/// MAC, padding checked in the innermost loop, i64 accumulators, and
+/// each conv layer unfused (accumulate → ReLU → requantize → 2×2 max
+/// pool). It survives only as the oracle the table-driven path is
+/// pinned to, bit for bit.
 impl QuantizedNetwork {
     /// Reference forward pass: raw class logits.
     fn reference_forward(&self, input: &Tensor<u8>, mult: &dyn Multiplier) -> Vec<i64> {
         assert_eq!(mult.width(), 8, "engine requires an 8-bit multiplier");
         let mut act = input.clone();
-        let mut logits = Vec::new();
-        for layer in &self.layers {
-            match layer {
-                QLayer::Conv(conv) => {
-                    let (acc, out_hw) = conv.reference_accumulate(&act, mult);
-                    act = conv.reference_requantize(&acc, conv.shift, out_hw);
-                }
-                QLayer::MaxPool => act = max_pool_2x2(&act),
-                QLayer::Linear(lin) => logits = lin.reference_forward(&act, mult),
-            }
+        for conv in &self.convs {
+            let acc = conv.reference_accumulate(&act, mult);
+            act = max_pool_2x2(&conv.reference_requantize(&acc, conv.shift));
         }
-        logits
+        self.classifier.reference_forward(&act, mult)
     }
 
     /// The requantization shifts the reference loop calibrates for this
@@ -59,56 +55,53 @@ impl QuantizedNetwork {
         let exact = ExactMultiplier::new(8);
         let mut act = self.calibration_input(seed ^ CALIBRATION_SALT);
         let mut shifts = Vec::new();
-        for layer in &self.layers {
-            match layer {
-                QLayer::Conv(conv) => {
-                    let (acc, out_hw) = conv.reference_accumulate(&act, &exact);
-                    let shift = calibrated_shift(acc.iter().copied().max().unwrap_or(0));
-                    act = conv.reference_requantize(&acc, shift, out_hw);
-                    shifts.push(shift);
-                }
-                QLayer::MaxPool => act = max_pool_2x2(&act),
-                QLayer::Linear(_) => {}
-            }
+        for conv in &self.convs {
+            let acc = conv.reference_accumulate(&act, &exact);
+            let shift = calibrated_shift(acc.as_slice().iter().copied().max().unwrap_or(0));
+            act = max_pool_2x2(&conv.reference_requantize(&acc, shift));
+            shifts.push(shift);
         }
         shifts
     }
 
     /// The calibrated requantization shifts, one per conv layer.
     fn shifts(&self) -> Vec<u32> {
-        self.layers
-            .iter()
-            .filter_map(|layer| match layer {
-                QLayer::Conv(conv) => Some(conv.shift),
-                _ => None,
-            })
-            .collect()
+        self.convs.iter().map(|conv| conv.shift).collect()
+    }
+
+    /// One forward pass on `mult`'s freshly compiled tables: raw class
+    /// logits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input shape does not match the network, or if the
+    /// multiplier is not 8 bits wide or returns a product wider than
+    /// 16 bits.
+    pub(super) fn forward(&self, input: &Tensor<u8>, mult: &dyn Multiplier) -> Vec<i64> {
+        self.forward_with(input, &self.tabulate(ProductTable::new(mult)))
     }
 }
 
 impl QConv {
-    fn reference_accumulate(&self, input: &Tensor<u8>, mult: &dyn Multiplier) -> (Vec<i64>, usize) {
-        let in_hw = input.height();
-        let out_hw = self.out_hw(in_hw);
-        let mut acc = vec![0i64; self.out_channels * out_hw * out_hw];
+    /// ReLU-ed accumulators, `[out_c][y][x]`, as large as the input.
+    fn reference_accumulate(&self, input: &Tensor<u8>, mult: &dyn Multiplier) -> Tensor<i64> {
+        let hw = input.height();
+        let mut acc = Tensor::zeros(self.out_channels, hw, hw);
         for oc in 0..self.out_channels {
-            for oy in 0..out_hw {
-                for ox in 0..out_hw {
+            for oy in 0..hw {
+                for ox in 0..hw {
                     let mut sum = 0i64;
                     for ic in 0..self.in_channels {
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let iy = (oy + ky) as isize - self.padding as isize;
-                                let ix = (ox + kx) as isize - self.padding as isize;
-                                if iy < 0 || ix < 0 || iy >= in_hw as isize || ix >= in_hw as isize
-                                {
+                        for ky in 0..KERNEL {
+                            for kx in 0..KERNEL {
+                                let iy = (oy + ky) as isize - PADDING as isize;
+                                let ix = (ox + kx) as isize - PADDING as isize;
+                                if iy < 0 || ix < 0 || iy >= hw as isize || ix >= hw as isize {
                                     continue;
                                 }
                                 let a = *input.get(ic, iy as usize, ix as usize);
-                                let w = self.weights[((oc * self.in_channels + ic) * self.kernel
-                                    + ky)
-                                    * self.kernel
-                                    + kx];
+                                let w = self.weights
+                                    [((oc * self.in_channels + ic) * KERNEL + ky) * KERNEL + kx];
                                 if a == 0 || w == 0 {
                                     continue;
                                 }
@@ -118,16 +111,20 @@ impl QConv {
                         }
                     }
                     // ReLU.
-                    acc[(oc * out_hw + oy) * out_hw + ox] = sum.max(0);
+                    *acc.get_mut(oc, oy, ox) = sum.max(0);
                 }
             }
         }
-        (acc, out_hw)
+        acc
     }
 
-    fn reference_requantize(&self, acc: &[i64], shift: u32, out_hw: usize) -> Tensor<u8> {
-        let data = acc.iter().map(|&v| ((v >> shift).min(255)) as u8).collect();
-        Tensor::from_vec(self.out_channels, out_hw, out_hw, data)
+    fn reference_requantize(&self, acc: &Tensor<i64>, shift: u32) -> Tensor<u8> {
+        let data = acc
+            .as_slice()
+            .iter()
+            .map(|&v| ((v >> shift).min(255)) as u8)
+            .collect();
+        Tensor::from_vec(acc.channels(), acc.height(), acc.width(), data)
     }
 }
 
@@ -149,6 +146,31 @@ impl QLinear {
         }
         out
     }
+}
+
+/// 2×2 stride-2 max pooling.
+pub(super) fn max_pool_2x2<T: Copy + Default + Ord>(input: &Tensor<T>) -> Tensor<T> {
+    let c = input.channels();
+    let out_h = input.height() / 2;
+    let out_w = input.width() / 2;
+    let mut out = Tensor::zeros(c, out_h, out_w);
+    for ch in 0..c {
+        for y in 0..out_h {
+            for x in 0..out_w {
+                let m = *[
+                    input.get(ch, 2 * y, 2 * x),
+                    input.get(ch, 2 * y, 2 * x + 1),
+                    input.get(ch, 2 * y + 1, 2 * x),
+                    input.get(ch, 2 * y + 1, 2 * x + 1),
+                ]
+                .into_iter()
+                .max()
+                .expect("four elements");
+                *out.get_mut(ch, y, x) = m;
+            }
+        }
+    }
+    out
 }
 
 /// Input sizes every case runs at.
@@ -315,9 +337,7 @@ fn random_conv(seed: u64, in_channels: usize, out_channels: usize) -> QConv {
     QConv {
         in_channels,
         out_channels,
-        kernel: 3,
-        padding: 1,
-        weights: (0..out_channels * in_channels * 9)
+        weights: (0..out_channels * in_channels * KERNEL * KERNEL)
             .map(|_| match rng.random_range(0u32..8) {
                 0 => 0,
                 1 => MAX_WEIGHT as i8,
@@ -347,6 +367,24 @@ fn random_activations(seed: u64, channels: usize, hw: usize) -> Tensor<u8> {
     )
 }
 
+/// The fused stage's pooled maxima of `input` under `mult`, as a
+/// tensor (`[out_c][hw/2][hw/2]`).
+fn pooled_maxima(conv: &QConv, input: &Tensor<u8>, mult: &dyn Multiplier) -> Tensor<i64> {
+    let (channels, hw) = (input.channels(), input.height());
+    let table = ConvTable::new(conv, &ProductTable::new(mult));
+    let mut padded = vec![0u8; channels * (hw + 2 * PADDING) * (hw + 2 * PADDING)];
+    place(input.as_slice(), hw, PADDING, &mut padded, |a| a);
+    let mut pooled = vec![0i32; conv.out_channels * (hw / 2) * (hw / 2)];
+    conv.pool(&padded, hw, &table, &mut pooled);
+    let pooled = pooled.into_iter().map(i64::from).collect();
+    Tensor::from_vec(conv.out_channels, hw / 2, hw / 2, pooled)
+}
+
+/// `reference_accumulate` → ReLU → 2×2 max pool.
+fn reference_pooled_maxima(conv: &QConv, input: &Tensor<u8>, mult: &dyn Multiplier) -> Tensor<i64> {
+    max_pool_2x2(&conv.reference_accumulate(input, mult))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -354,19 +392,70 @@ proptest! {
     fn conv_kernel_is_bit_identical_to_reference_accumulate(
         seed in 0u64..u64::MAX,
         wide in 0usize..2,
-        hw in 1usize..33,
+        half in 1usize..17,
     ) {
-        // The network's two conv shapes: 3 → 8 and 8 → 16.
+        // The network's two conv shapes, 3 → 8 and 8 → 16, at every even
+        // layer size 2..=32.
         let (in_channels, out_channels) = [(3, 8), (8, 16)][wide];
+        let hw = 2 * half;
         let mult = Tabled::random(seed);
         let conv = random_conv(seed ^ 1, in_channels, out_channels);
         let input = random_activations(seed ^ 2, in_channels, hw);
-        let table = ConvTable::new(&conv, &ProductTable::new(&mult));
-        let (acc, out_hw) = conv.accumulate(&input, &table);
-        let (reference, reference_hw) = conv.reference_accumulate(&input, &mult);
-        prop_assert_eq!(out_hw, reference_hw);
-        let acc: Vec<i64> = acc.into_iter().map(i64::from).collect();
-        prop_assert!(acc == reference, "accumulators differ at input size {hw}");
+        let pooled = pooled_maxima(&conv, &input, &mult);
+        let reference = reference_pooled_maxima(&conv, &input, &mult);
+        prop_assert!(pooled == reference, "pooled maxima differ at input size {hw}");
+    }
+
+    #[test]
+    fn forward_is_bit_identical_to_reference_on_random_products(
+        seed in 0u64..u64::MAX,
+        quarter in 1usize..9,
+        classes in 1usize..17,
+    ) {
+        // Input sizes 4..=32 in steps of 4: every size the network takes
+        // up to 32, each pass through its own freshly zeroed buffers.
+        let hw = 4 * quarter;
+        let net = QuantizedNetwork::synthetic(hw, classes, seed);
+        let (shifts, reference) = (net.shifts(), net.reference_shifts(seed));
+        prop_assert!(shifts == reference, "shifts at hw {hw}: {shifts:?} != {reference:?}");
+        let mult = Tabled::random(seed ^ 1);
+        let input = random_activations(seed ^ 2, 3, hw);
+        let fast = net.forward_with(&input, &net.tabulate(ProductTable::new(&mult)));
+        let reference = net.reference_forward(&input, &mult);
+        prop_assert!(fast == reference, "logits at hw {hw}: {fast:?} != {reference:?}");
+    }
+}
+
+#[test]
+fn conv_kernel_starts_all_negative_chunks_at_their_lowest_bias() {
+    // Every weight of the first chunk negative: each of its lanes starts
+    // at −0xFFFF × taps. Under `Saturating` on an all-255 input, a
+    // window that lies inside the input keeps every partial sum there,
+    // at the far end of the i32 bound.
+    for (in_channels, out_channels) in [(3, 8), (8, 16)] {
+        let mut conv = random_conv(7, in_channels, out_channels);
+        let chunk = LANES * conv.taps();
+        for w in &mut conv.weights[..chunk] {
+            *w = -(w.unsigned_abs().max(1) as i8);
+        }
+        for hw in [2, 6, 16] {
+            let full = Tensor::from_vec(in_channels, hw, hw, vec![255; in_channels * hw * hw]);
+            let mults: [&dyn Multiplier; 3] = [
+                &Saturating,
+                &Tabled::random(hw as u64),
+                &ExactMultiplier::new(8),
+            ];
+            for mult in mults {
+                for input in [&full, &random_activations(hw as u64, in_channels, hw)] {
+                    assert_eq!(
+                        pooled_maxima(&conv, input, mult),
+                        reference_pooled_maxima(&conv, input, mult),
+                        "{} at input size {hw}",
+                        mult.name()
+                    );
+                }
+            }
+        }
     }
 }
 

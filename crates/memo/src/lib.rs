@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, TryLockError};
 
 /// The stages of the memoized compute graph, in dependency order: a
 /// context key embeds its library key, a cell key embeds its context
@@ -359,21 +359,28 @@ impl MemoStore {
         }
         // Single-flight: one gate per key; losers of the race block
         // here, then find the winner's value in the memory recheck.
-        let gate = Arc::clone(
-            self.in_flight
-                .lock()
-                .expect("in-flight lock")
-                .entry(key.clone())
-                .or_default(),
-        );
+        let mut in_flight = self.in_flight.lock().expect("in-flight lock");
+        let gate = Arc::clone(in_flight.entry(key.clone()).or_default());
         // The gate guards `()`: the recheck, not the lock, decides
         // between hit and compute. A gate poisoned by a compute that
         // panicked is recovered, and the next request computes afresh.
-        let _guard = gate.lock().unwrap_or_else(PoisonError::into_inner);
+        // The gate is tried before `in_flight` is released, so a holder
+        // counted in the gate's `Arc` has already found it free or taken.
+        let tried = gate.try_lock();
+        drop(in_flight);
+        let (_guard, waited) = match tried {
+            Ok(guard) => (guard, false),
+            Err(TryLockError::Poisoned(poisoned)) => (poisoned.into_inner(), false),
+            Err(TryLockError::WouldBlock) => {
+                (gate.lock().unwrap_or_else(PoisonError::into_inner), true)
+            }
+        };
         let value = 'filled: {
             if let Some(v) = self.memory_get::<T>(&key) {
                 counters.hits.fetch_add(1, Ordering::Relaxed);
-                span.annotate("hit");
+                // Blocked on another request's compute: its time is
+                // that compute's, not a lookup's.
+                span.annotate(if waited { "wait" } else { "hit" });
                 break 'filled v;
             }
             if let Some(v) = self.disk_get(stage, fp, &key, decode) {
@@ -811,6 +818,70 @@ mod tests {
             }
         );
         assert!(store.in_flight.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_lookup_blocked_on_another_compute_is_annotated_wait() {
+        let store = &MemoStore::in_memory();
+        let collector = &Arc::new(carma_trace::Collector::new());
+        let key = memory_key(Stage::Context, &fingerprint("slow"));
+        let (started, has_started) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel();
+        let lookup = move |compute: &dyn Fn() -> u32| {
+            carma_trace::with_collector(collector, || {
+                *store.get_or_compute(Stage::Context, "slow", encode_u32, decode_u32, compute)
+            })
+        };
+        std::thread::scope(|scope| {
+            let first = scope.spawn(move || {
+                lookup(&|| {
+                    started.send(()).expect("the test is listening");
+                    released.recv().expect("the test releases the compute");
+                    5
+                })
+            });
+            has_started.recv().expect("the first lookup computes");
+            let second = scope.spawn(move || lookup(&|| panic!("computed twice")));
+            // The map's copy of the gate, the first lookup's and the
+            // second's: the second clones the gate and tries it under the
+            // map lock, so once it is counted it has found the gate taken.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while store
+                .in_flight
+                .lock()
+                .unwrap()
+                .get(&key)
+                .map_or(0, Arc::strong_count)
+                < 3
+            {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the second lookup never reached the gate"
+                );
+                std::thread::yield_now();
+            }
+            release.send(()).expect("the compute is waiting");
+            assert_eq!(first.join().expect("first lookup"), 5);
+            assert_eq!(second.join().expect("second lookup"), 5);
+        });
+        let mut annotations: Vec<_> = collector
+            .snapshot()
+            .spans
+            .iter()
+            .filter(|s| s.name == Stage::Context.span_name())
+            .filter_map(|s| s.annotation)
+            .collect();
+        annotations.sort_unstable();
+        assert_eq!(annotations, ["miss", "wait"]);
+        assert_eq!(
+            store.stats().context,
+            StageCounts {
+                hits: 1,
+                misses: 1,
+                disk_hits: 0,
+                entries: 1
+            }
+        );
     }
 
     #[test]

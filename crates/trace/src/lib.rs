@@ -68,7 +68,8 @@ pub struct SpanRecord {
     /// format arguments of [`span!`] are only evaluated when a
     /// collector is installed.
     pub label: Option<String>,
-    /// Optional outcome annotation (`"hit"`, `"miss"`, `"disk_hit"`).
+    /// Optional outcome annotation (`"hit"`, `"miss"`, `"disk_hit"`,
+    /// `"wait"`).
     pub annotation: Option<&'static str>,
     /// Small per-process ordinal of the recording thread.
     pub thread: u64,
