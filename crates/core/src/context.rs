@@ -1,15 +1,13 @@
 //! The evaluation context: multiplier library + accuracy buckets +
 //! carbon model + performance oracle, bound to one technology node.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use carma_carbon::{CarbonMass, CarbonModel, Cdp, DeploymentProfile, FootprintBreakdown};
 use carma_dataflow::{Accelerator, AreaModel, PerfModel};
 use carma_dnn::{AccuracyEvaluator, DnnModel, EvaluatorConfig};
-use carma_memo::{f64_from_hex, f64_hex, MemoStore};
+use carma_memo::{f64_from_hex, f64_hex, MemoStore, ShardedMap};
 use carma_multiplier::{MultiplierEntry, MultiplierLibrary};
 use carma_netlist::{Area, TechNode};
 
@@ -85,12 +83,7 @@ struct PerfSummary {
     macs: u64,
 }
 
-/// Number of lock shards in the perf cache. A gen-size GA batch keeps
-/// every pool worker hitting the cache at once; 16 shards make lock
-/// collisions rare without meaningful memory cost.
-const PERF_CACHE_SHARDS: usize = 16;
-
-/// Sharded, concurrent perf memo: accelerator → per-model summaries.
+/// Concurrent perf memo: accelerator → per-model summaries.
 ///
 /// A summary is a pure function of the [`Accelerator`] (which carries
 /// the node) and the DNN, so one cache is shared by every context a
@@ -102,33 +95,12 @@ const PERF_CACHE_SHARDS: usize = 16;
 /// so summaries for one accelerator are distinguished by model name in
 /// a short inner vector — compared by `&str`, cloned only once per
 /// (accelerator, model) on the insert path, never per lookup.
-pub(crate) struct PerfCache {
-    shards: [Mutex<PerfShard>; PERF_CACHE_SHARDS],
-}
-
-/// One lock's worth of the perf memo.
-type PerfShard = HashMap<Accelerator, Vec<(String, PerfSummary)>>;
+#[derive(Default)]
+pub(crate) struct PerfCache(ShardedMap<Accelerator, Vec<(String, PerfSummary)>>);
 
 impl PerfCache {
-    pub(crate) fn new() -> Self {
-        PerfCache {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-        }
-    }
-
-    /// Locks the shard holding `accel`. A poisoned shard is recovered:
-    /// its summaries are deterministic and inserted whole, so a panic
-    /// elsewhere never leaves one half-written.
-    fn shard(&self, accel: &Accelerator) -> MutexGuard<'_, PerfShard> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        accel.hash(&mut h);
-        self.shards[h.finish() as usize % PERF_CACHE_SHARDS]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn get(&self, accel: &Accelerator, model_name: &str) -> Option<PerfSummary> {
-        self.shard(accel).get(accel).and_then(|per_model| {
+        self.0.lock(accel).get(accel).and_then(|per_model| {
             per_model
                 .iter()
                 .find(|(name, _)| name == model_name)
@@ -143,7 +115,7 @@ impl PerfCache {
     /// it is stored and counted once.
     fn insert(&self, accel: Accelerator, model_name: &str, summary: PerfSummary) {
         let stored = {
-            let mut shard = self.shard(&accel);
+            let mut shard = self.0.lock(&accel);
             let per_model = shard.entry(accel).or_default();
             // A racing worker may have inserted the same summary
             // between our miss and this lock; keep the first.
@@ -349,7 +321,7 @@ impl CarmaContext {
             node,
             Arc::new(library),
             &seed,
-            Arc::new(PerfCache::new()),
+            Arc::new(PerfCache::default()),
             None,
         )
     }
@@ -583,7 +555,7 @@ mod tests {
                 TechNode::N7,
                 Arc::new(library),
                 &seed,
-                Arc::new(PerfCache::new()),
+                Arc::new(PerfCache::default()),
                 None,
             );
             let library = ctx.library();

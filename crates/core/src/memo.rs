@@ -67,7 +67,7 @@ impl MemoLayer {
     fn over(store: MemoStore) -> Self {
         MemoLayer {
             store: Arc::new(store),
-            perf: Arc::new(PerfCache::new()),
+            perf: Arc::new(PerfCache::default()),
         }
     }
 
@@ -103,15 +103,9 @@ impl MemoLayer {
         source: &LibrarySource,
         node: TechNode,
     ) -> CarmaContext {
-        let lib_canon = library_source_canon(r, source);
-        let library = self.store.get_or_compute(
-            Stage::Library,
-            &lib_canon,
-            encode_library,
-            decode_library,
-            || r.library_from(source),
-        );
-        let ctx_canon = context_canon(&carma_memo::fingerprint(&lib_canon), &r.evaluator());
+        let library = self.library_from(r, source);
+        let library_key = carma_memo::fingerprint(&library_source_canon(r, source));
+        let ctx_canon = context_canon(&library_key, &r.evaluator());
         let context_key = carma_memo::fingerprint(&ctx_canon);
         let seed = self.store.get_or_compute_keyed(
             Stage::Context,

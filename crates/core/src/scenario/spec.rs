@@ -676,33 +676,7 @@ impl ScenarioSpec {
         if let Some(seed) = self.seed {
             ga.seed = seed;
         }
-        if ga.population < 2 {
-            return Err(ScenarioError::InvalidGa(format!(
-                "population must be ≥ 2 (got {})",
-                ga.population
-            )));
-        }
-        if ga.tournament < 1 {
-            return Err(ScenarioError::InvalidGa("tournament must be ≥ 1".into()));
-        }
-        if !(0.0..=1.0).contains(&ga.crossover_rate) {
-            return Err(ScenarioError::InvalidGa(format!(
-                "crossover_rate must be in [0, 1] (got {})",
-                ga.crossover_rate
-            )));
-        }
-        if !(0.0..=1.0).contains(&ga.mutation_rate) {
-            return Err(ScenarioError::InvalidGa(format!(
-                "mutation_rate must be in [0, 1] (got {})",
-                ga.mutation_rate
-            )));
-        }
-        if ga.elites >= ga.population {
-            return Err(ScenarioError::InvalidGa(format!(
-                "elites ({}) must be < population ({})",
-                ga.elites, ga.population
-            )));
-        }
+        ga.validate().map_err(ScenarioError::InvalidGa)?;
 
         let threads = resolve_threads(self.threads, cli_threads);
         if let Some(0) = threads {

@@ -166,18 +166,35 @@ impl GaConfig {
         self
     }
 
-    fn validate(&self) {
-        assert!(self.population >= 2, "population must be ≥ 2");
-        assert!(self.tournament >= 1, "tournament must be ≥ 1");
-        assert!(
-            (0.0..=1.0).contains(&self.crossover_rate),
-            "crossover_rate must be in [0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.mutation_rate),
-            "mutation_rate must be in [0, 1]"
-        );
-        assert!(self.elites < self.population, "elites must be < population");
+    /// Checks the configuration: population ≥ 2, tournament ≥ 1, both
+    /// rates in `[0, 1]` and elites < population. The error names the
+    /// first broken rule.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.population < 2 {
+            return Err(format!("population must be ≥ 2 (got {})", self.population));
+        }
+        if self.tournament < 1 {
+            return Err("tournament must be ≥ 1".to_string());
+        }
+        if !(0.0..=1.0).contains(&self.crossover_rate) {
+            return Err(format!(
+                "crossover_rate must be in [0, 1] (got {})",
+                self.crossover_rate
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.mutation_rate) {
+            return Err(format!(
+                "mutation_rate must be in [0, 1] (got {})",
+                self.mutation_rate
+            ));
+        }
+        if self.elites >= self.population {
+            return Err(format!(
+                "elites ({}) must be < population ({})",
+                self.elites, self.population
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -191,7 +208,6 @@ pub struct Individual<G> {
 }
 
 /// The GA engine. Construct with [`GeneticAlgorithm::new`], then call
-/// [`run`](GeneticAlgorithm::run) or
 /// [`run_seeded`](GeneticAlgorithm::run_seeded).
 #[derive(Debug)]
 pub struct GeneticAlgorithm<P: Problem> {
@@ -204,24 +220,22 @@ impl<P: Problem> GeneticAlgorithm<P> {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent (population < 2,
-    /// rates outside `[0, 1]`, elites ≥ population).
+    /// Panics with the message of [`GaConfig::validate`] if the
+    /// configuration is inconsistent.
     pub fn new(problem: P, config: GaConfig) -> Self {
-        config.validate();
+        if let Err(msg) = config.validate() {
+            panic!("{msg}");
+        }
         GeneticAlgorithm { problem, config }
     }
 
     /// Evolves the population and returns the best individual found
-    /// across all generations (by the feasibility rule).
-    pub fn run(&self) -> Individual<P::Genome> {
-        self.run_seeded(&[])
-    }
-
-    /// Like [`run`](Self::run), with the first individuals of the
-    /// initial population taken from `seeds` (truncated to the
-    /// population size). Seeding with known-good designs (e.g. the
-    /// NVDLA presets) guarantees the GA never returns something worse
-    /// than the best seed.
+    /// across all generations (by the feasibility rule), with the first
+    /// individuals of the initial population taken from `seeds`
+    /// (truncated to the population size; the rest are random).
+    /// Seeding with known-good designs (e.g. the NVDLA presets)
+    /// guarantees the GA never returns something worse than the best
+    /// seed.
     pub fn run_seeded(&self, seeds: &[P::Genome]) -> Individual<P::Genome> {
         let cfg = &self.config;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -416,7 +430,7 @@ mod tests {
             Sphere { dims: 4 },
             GaConfig::default().with_seed(42).with_generations(80),
         );
-        let best = ga.run();
+        let best = ga.run_seeded(&[]);
         assert!(
             best.evaluation.objective < 0.5,
             "GA failed to converge: {}",
@@ -430,7 +444,7 @@ mod tests {
             BoundaryProblem,
             GaConfig::default().with_seed(1).with_generations(100),
         );
-        let best = ga.run();
+        let best = ga.run_seeded(&[]);
         assert!(best.evaluation.is_feasible());
         assert!(
             (best.genome - 3.0).abs() < 0.2,
@@ -443,7 +457,7 @@ mod tests {
     fn runs_are_deterministic_per_seed() {
         let run = |seed| {
             GeneticAlgorithm::new(Sphere { dims: 3 }, GaConfig::default().with_seed(seed))
-                .run()
+                .run_seeded(&[])
                 .evaluation
                 .objective
         };
@@ -502,14 +516,14 @@ mod tests {
             Sphere { dims: 4 },
             GaConfig::default().with_seed(33).with_generations(12),
         )
-        .run();
+        .run_seeded(&[]);
         for threads in [1, 4] {
             let parallel = carma_exec::with_threads(threads, || {
                 GeneticAlgorithm::new(
                     ParSphere { dims: 4 },
                     GaConfig::default().with_seed(33).with_generations(12),
                 )
-                .run()
+                .run_seeded(&[])
             });
             assert_eq!(
                 serial.evaluation.objective.to_bits(),
@@ -540,7 +554,7 @@ mod tests {
                 Vec::new() // violates the contract
             }
         }
-        let _ = GeneticAlgorithm::new(Broken, GaConfig::default()).run();
+        let _ = GeneticAlgorithm::new(Broken, GaConfig::default()).run_seeded(&[]);
     }
 
     #[test]
@@ -554,7 +568,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "elites must be < population")]
+    #[should_panic(expected = "elites (4) must be < population (4)")]
     fn too_many_elites_rejected() {
         let cfg = GaConfig {
             population: 4,

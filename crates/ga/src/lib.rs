@@ -40,7 +40,7 @@
 //!     }
 //! }
 //!
-//! let best = GeneticAlgorithm::new(Sphere, GaConfig::default().with_seed(7)).run();
+//! let best = GeneticAlgorithm::new(Sphere, GaConfig::default().with_seed(7)).run_seeded(&[]);
 //! assert!(best.evaluation.objective < 0.5);
 //! ```
 

@@ -17,7 +17,7 @@
 //! description of exactly the inputs that determine the stage's output
 //! (thread count excluded).
 //!
-//! The store is two-tier: a sharded in-memory map of `Arc<dyn Any>`
+//! The store is two-tier: an in-memory [`ShardedMap`] of `Arc<dyn Any>`
 //! values (zero serialization on the hot path) plus an optional disk
 //! tier (`<dir>/<stage>/<fingerprint>.json`, tmp+rename writes,
 //! hex-only key guard). Values are encoded/decoded by caller-supplied
@@ -30,11 +30,14 @@
 //! recompute and the cache never needs invalidation.
 
 use std::any::Any;
+use std::borrow::Borrow;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
 /// The stages of the memoized compute graph, in dependency order: a
 /// context key embeds its library key, a cell key embeds its context
@@ -148,11 +151,42 @@ impl StageAtomics {
     }
 }
 
-/// Number of lock shards in the in-memory tier (same shape as the
-/// context perf memo).
-const MEMO_SHARDS: usize = 16;
+/// Number of lock shards of a [`ShardedMap`]. A GA batch keeps every
+/// pool worker in the perf cache at once; 16 shards make lock
+/// collisions rare without meaningful memory cost.
+const SHARDS: usize = 16;
 
-type MemoShard = HashMap<String, Arc<dyn Any + Send + Sync>>;
+/// A concurrent map split across 16 mutex-guarded shards, so threads
+/// that touch different keys rarely contend: the memo store's memory
+/// tier, and carma-core's perf cache.
+pub struct ShardedMap<K, V> {
+    shards: [Mutex<HashMap<K, V>>; SHARDS],
+}
+
+impl<K, V> Default for ShardedMap<K, V> {
+    fn default() -> Self {
+        ShardedMap {
+            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+        }
+    }
+}
+
+impl<K: Hash + Eq, V> ShardedMap<K, V> {
+    /// Locks the shard holding `key`. A poisoned shard is recovered:
+    /// callers insert whole values under the lock, so a panic elsewhere
+    /// never leaves one half-written.
+    pub fn lock<Q>(&self, key: &Q) -> MutexGuard<'_, HashMap<K, V>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + ?Sized,
+    {
+        let mut hasher = DefaultHasher::new();
+        key.hash(&mut hasher);
+        self.shards[hasher.finish() as usize % SHARDS]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 /// FNV-1a 64-bit over `bytes`, from `basis`.
 fn fnv1a64(bytes: &[u8], basis: u64) -> u64 {
@@ -181,14 +215,10 @@ pub fn fingerprint(canon: &str) -> String {
 /// are single-flighted so an expensive stage is computed once even
 /// when several workers want it at the same moment.
 pub struct MemoStore {
-    shards: [Mutex<MemoShard>; MEMO_SHARDS],
+    memory: ShardedMap<String, Arc<dyn Any + Send + Sync>>,
     dir: Option<PathBuf>,
     counters: [StageAtomics; Stage::ALL.len()],
     in_flight: Mutex<HashMap<String, Arc<Mutex<()>>>>,
-}
-
-fn shard_index(key: &str) -> usize {
-    (fnv1a64(key.as_bytes(), 0xCBF2_9CE4_8422_2325) % MEMO_SHARDS as u64) as usize
 }
 
 /// The in-memory key of `fp` in `stage`: stages share the shards but
@@ -216,7 +246,7 @@ impl MemoStore {
             }
         }
         Ok(MemoStore {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            memory: ShardedMap::default(),
             dir,
             counters: std::array::from_fn(|_| StageAtomics::default()),
             in_flight: Mutex::new(HashMap::new()),
@@ -236,10 +266,6 @@ impl MemoStore {
             cell: self.counters[Stage::Cell.index()].snapshot(),
             report: self.counters[Stage::Report.index()].snapshot(),
         }
-    }
-
-    fn shard(&self, key: &str) -> &Mutex<MemoShard> {
-        &self.shards[shard_index(key)]
     }
 
     fn disk_path(&self, stage: Stage, fp: &str) -> Option<PathBuf> {
@@ -268,18 +294,16 @@ impl MemoStore {
     }
 
     fn memory_get<T: Send + Sync + 'static>(&self, key: &str) -> Option<Arc<T>> {
-        self.shard(key)
-            .lock()
-            .expect("memo lock")
+        self.memory
+            .lock(key)
             .get(key)
             .and_then(|any| Arc::clone(any).downcast::<T>().ok())
     }
 
     fn memory_put<T: Send + Sync + 'static>(&self, stage: Stage, key: String, value: Arc<T>) {
         let replaced = self
-            .shard(&key)
-            .lock()
-            .expect("memo lock")
+            .memory
+            .lock(&key)
             .insert(key, value as Arc<dyn Any + Send + Sync>);
         if replaced.is_none() {
             self.counters[stage.index()]
@@ -669,19 +693,23 @@ mod tests {
     #[test]
     fn entries_spread_across_shards_and_len_sums_them() {
         let store = MemoStore::in_memory();
-        // 64 distinct keys land in more than one shard (FNV over
-        // distinct strings collapsing 64 keys into one shard of 16
-        // would be astronomically unlucky) and the entry count still
-        // covers all of them.
-        let mut indices = std::collections::HashSet::new();
+        // 64 distinct keys land in more than one shard (collapsing 64
+        // keys into one shard of 16 would be astronomically unlucky)
+        // and the entry count still covers all of them.
         for n in 0..64u32 {
-            let fp = format!("{n:032x}");
-            indices.insert(shard_index(&memory_key(Stage::Report, &fp)));
-            store.put(Stage::Report, &fp, n, encode_u32);
+            store.put(Stage::Report, &format!("{n:032x}"), n, encode_u32);
         }
-        assert!(indices.len() > 1, "all keys hashed to one shard");
-        let held: usize = store.shards.iter().map(|s| s.lock().unwrap().len()).sum();
-        assert_eq!(held, 64);
+        let held: Vec<usize> = store
+            .memory
+            .shards
+            .iter()
+            .map(|s| s.lock().unwrap().len())
+            .collect();
+        assert!(
+            held.iter().filter(|&&n| n > 0).count() > 1,
+            "all keys hashed to one shard"
+        );
+        assert_eq!(held.iter().sum::<usize>(), 64);
         assert_eq!(store.stats().report.entries, 64);
         for n in 0..64u32 {
             let fp = format!("{n:032x}");
@@ -690,6 +718,21 @@ mod tests {
                 Some(&n)
             );
         }
+    }
+
+    #[test]
+    fn a_poisoned_shard_is_recovered() {
+        let map: ShardedMap<String, u32> = ShardedMap::default();
+        map.lock("k").insert("k".to_string(), 1);
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _shard = map.lock("k");
+            panic!("a panic while holding the shard");
+        }));
+        assert!(poisoned.is_err());
+        assert!(map.shards.iter().any(Mutex::is_poisoned));
+        assert_eq!(map.lock("k").get("k"), Some(&1));
+        map.lock("k").insert("k".to_string(), 2);
+        assert_eq!(map.lock("k").get("k"), Some(&2));
     }
 
     #[test]

@@ -91,11 +91,7 @@ impl MultiplierCircuit {
             }
         }
 
-        match kind {
-            ReductionKind::Array => reduce_sequential(&mut nl, &mut columns),
-            ReductionKind::Wallace => reduce_wallace(&mut nl, &mut columns),
-            ReductionKind::Dadda => reduce_dadda(&mut nl, &mut columns),
-        }
+        reduce_columns(&mut nl, &mut columns, kind);
 
         // Final ripple-carry adder over the ≤2-high columns.
         let product = ripple_final_adder(&mut nl, &columns);
@@ -195,8 +191,9 @@ fn full_adder(nl: &mut Netlist, x: NodeId, y: NodeId, z: NodeId) -> (NodeId, Nod
     (sum, carry)
 }
 
-/// Dispatches to the reduction schedule named by `kind` (shared with
-/// the classic-family generators in [`crate::families`]).
+/// Dispatches to the reduction schedule named by `kind` (shared by
+/// [`MultiplierCircuit::generate`] and the classic-family generators in
+/// [`crate::families`]).
 pub(crate) fn reduce_columns(nl: &mut Netlist, columns: &mut [Vec<NodeId>], kind: ReductionKind) {
     match kind {
         ReductionKind::Array => reduce_sequential(nl, columns),

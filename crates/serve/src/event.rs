@@ -7,8 +7,8 @@
 //!   ([`try_parse_request`]) carves out complete requests. Pipelined
 //!   requests are answered back-to-back, in order, from one buffer
 //!   pass.
-//! - **Waiting** — a `POST /run` miss suspends the connection on its
-//!   job id. The connection costs a table slot and nothing else: no
+//! - **Waiting** — a `POST /run` miss suspends the connection until its
+//!   jobs retire. The connection costs a table slot and nothing else: no
 //!   thread, no stack. While suspended, `POLLIN` is *not* registered,
 //!   so a client streaming further pipelined requests is backpressured
 //!   by the kernel socket buffer.
@@ -35,10 +35,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::http::{try_parse_request, Response, TryParse, KEEPALIVE_IDLE_TIMEOUT, READ_TIMEOUT};
-use crate::server::{
-    batch_item_outcome, batch_response, job_outcome_response, request_error_response, route,
-    BatchItem, Routed, ServeState,
-};
+use crate::server::{request_error_response, route, Routed, RunWait, ServeState};
 
 /// How long a shutdown waits for staged response bytes to drain
 /// before dropping the remaining connections.
@@ -128,21 +125,12 @@ pub(crate) fn wake_pair() -> io::Result<(Waker, TcpStream)> {
 // Per-connection state machine
 // ---------------------------------------------------------------------------
 
-/// What a suspended connection is waiting on.
-enum Waiting {
-    Job {
-        id: u64,
-        fingerprint: String,
-        keep_alive: bool,
-        started: Instant,
-        path: String,
-    },
-    Batch {
-        items: Vec<BatchItem>,
-        keep_alive: bool,
-        started: Instant,
-        path: String,
-    },
+/// A `POST /run` suspended on the job queue.
+struct Waiting {
+    run: RunWait,
+    keep_alive: bool,
+    started: Instant,
+    path: String,
 }
 
 struct Conn {
@@ -234,26 +222,16 @@ impl Conn {
                             }
                             self.finish(state, &response, started, Some(path));
                         }
-                        Routed::WaitJob { id, fingerprint } => {
-                            self.waiting = Some(Waiting::Job {
-                                id,
-                                fingerprint,
+                        Routed::Wait(run) => {
+                            self.waiting = Some(Waiting {
+                                run,
                                 keep_alive,
                                 started,
                                 path,
                             });
-                            // The job may have retired between routing
+                            // A job may have retired between routing
                             // and here (its wake byte already drained):
                             // resolve immediately rather than stall.
-                            self.try_retire(state);
-                        }
-                        Routed::WaitBatch { items } => {
-                            self.waiting = Some(Waiting::Batch {
-                                items,
-                                keep_alive,
-                                started,
-                                path,
-                            });
                             self.try_retire(state);
                         }
                         Routed::Shutdown(mut response) => {
@@ -271,68 +249,21 @@ impl Conn {
         }
     }
 
-    /// If the suspended job (or every job of a suspended batch) has
-    /// retired, stages the response and resumes pipeline processing.
+    /// If every job of the suspended `POST /run` has retired, stages
+    /// the response and resumes pipeline processing.
     fn try_retire(&mut self, state: &ServeState) {
-        let Some(waiting) = self.waiting.take() else {
+        let Some(mut waiting) = self.waiting.take() else {
             return;
         };
-        match waiting {
-            Waiting::Job {
-                id,
-                fingerprint,
-                keep_alive,
-                started,
-                path,
-            } => match job_outcome_response(state, id, &fingerprint) {
-                Some(mut response) => {
-                    if !keep_alive {
-                        response.close = true;
-                    }
-                    self.finish(state, &response, started, Some(path));
-                    self.process_inbuf(state);
+        match waiting.run.poll(state) {
+            Some(mut response) => {
+                if !waiting.keep_alive {
+                    response.close = true;
                 }
-                None => {
-                    self.waiting = Some(Waiting::Job {
-                        id,
-                        fingerprint,
-                        keep_alive,
-                        started,
-                        path,
-                    });
-                }
-            },
-            Waiting::Batch {
-                mut items,
-                keep_alive,
-                started,
-                path,
-            } => {
-                let mut all_ready = true;
-                for item in &mut items {
-                    if let BatchItem::Pending { id, fingerprint } = item {
-                        match batch_item_outcome(state, *id, fingerprint) {
-                            Some(json) => *item = BatchItem::Ready(json),
-                            None => all_ready = false,
-                        }
-                    }
-                }
-                if all_ready {
-                    let mut response = batch_response(&items);
-                    if !keep_alive {
-                        response.close = true;
-                    }
-                    self.finish(state, &response, started, Some(path));
-                    self.process_inbuf(state);
-                } else {
-                    self.waiting = Some(Waiting::Batch {
-                        items,
-                        keep_alive,
-                        started,
-                        path,
-                    });
-                }
+                self.finish(state, &response, waiting.started, Some(waiting.path));
+                self.process_inbuf(state);
             }
+            None => self.waiting = Some(waiting),
         }
     }
 

@@ -234,7 +234,8 @@ impl ServerHandle {
 // Routing
 // ---------------------------------------------------------------------------
 
-/// One batch element: either already answerable, or waiting on a job.
+/// One `POST /run` element: either already answerable, or waiting on a
+/// job.
 pub(crate) enum BatchItem {
     /// The rendered `{"…"}` JSON fragment for this element.
     Ready(String),
@@ -246,17 +247,51 @@ pub(crate) enum BatchItem {
 pub(crate) enum Routed {
     /// Answer now.
     Ready(Response),
-    /// A sync `POST /run` miss: answer when job `id` retires.
-    WaitJob { id: u64, fingerprint: String },
-    /// A batch `POST /run` with at least one pending element.
-    WaitBatch { items: Vec<BatchItem> },
+    /// A `POST /run` with at least one job in flight.
+    Wait(RunWait),
     /// `POST /shutdown`: send the response, then stop the server.
     Shutdown(Response),
 }
 
+/// A `POST /run` waiting on the job queue. A sync miss waits as a
+/// batch of one whose job outcome is the whole response.
+pub(crate) struct RunWait {
+    items: Vec<BatchItem>,
+    /// The body was one spec, not an array.
+    single: bool,
+}
+
+impl RunWait {
+    /// Resolves every retired job; the response once none is in
+    /// flight.
+    pub(crate) fn poll(&mut self, state: &ServeState) -> Option<Response> {
+        let mut in_flight = false;
+        for item in &mut self.items {
+            let BatchItem::Pending { id, fingerprint } = item else {
+                continue;
+            };
+            let Some(outcome) = job_outcome(state, *id) else {
+                in_flight = true;
+                continue;
+            };
+            if self.single {
+                return Some(match outcome {
+                    Ok(payload) => run_response("miss", fingerprint, &payload),
+                    Err(msg) => Response::error(500, &msg),
+                });
+            }
+            *item = BatchItem::Ready(match outcome {
+                Ok(payload) => report_fragment("miss", fingerprint, &payload),
+                Err(msg) => error_fragment(&msg, Some(fingerprint)),
+            });
+        }
+        (!in_flight).then(|| batch_response(&self.items))
+    }
+}
+
 /// Routes one parsed request. Never blocks: cache hits, metadata and
-/// errors answer immediately; misses come back as `WaitJob` /
-/// `WaitBatch` for the event loop to suspend the connection on.
+/// errors answer immediately; misses come back as `Wait` for the event
+/// loop to suspend the connection on.
 pub(crate) fn route(request: &Request, state: &ServeState) -> Routed {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => Routed::Ready(handle_healthz(state)),
@@ -383,18 +418,19 @@ fn handle_job(state: &ServeState, id_text: &str) -> Response {
     Response::json(200, body)
 }
 
-/// Body of a successful `POST /run`. The `report` member is spliced
-/// verbatim: the report stage stores exactly the bytes
-/// `Report::to_json` produced, so clients stripping the wrapper recover
-/// a byte-identical `carma run … --out json` document.
+/// `{"cache":…,"fingerprint":…,"report":…}`: a `POST /run` answer,
+/// alone or as one element of a batch. The `report` member is spliced
+/// verbatim: the report stage stores exactly the bytes `Report::to_json`
+/// produced, so clients stripping the wrapper recover a byte-identical
+/// `carma run … --out json` document.
+fn report_fragment(cache: &str, fingerprint: &str, report_json: &str) -> String {
+    format!("{{\"cache\":\"{cache}\",\"fingerprint\":\"{fingerprint}\",\"report\":{report_json}}}")
+}
+
+/// Response to a successful single-spec `POST /run`.
 fn run_response(cache: &str, fingerprint: &str, report_json: &str) -> Response {
-    Response::json(
-        200,
-        format!(
-            "{{\"cache\":\"{cache}\",\"fingerprint\":\"{fingerprint}\",\"report\":{report_json}}}"
-        ),
-    )
-    .with_header("X-Carma-Cache", cache)
+    Response::json(200, report_fragment(cache, fingerprint, report_json))
+        .with_header("X-Carma-Cache", cache)
 }
 
 fn queue_full_response(state: &ServeState) -> Response {
@@ -445,7 +481,10 @@ fn handle_run(state: &ServeState, request: &Request) -> Routed {
                 .with_header("Location", &format!("/jobs/{id}")),
             )
         }
-        SpecOutcome::InFlight { id, fingerprint } => Routed::WaitJob { id, fingerprint },
+        SpecOutcome::InFlight { id, fingerprint } => Routed::Wait(RunWait {
+            items: vec![BatchItem::Pending { id, fingerprint }],
+            single: true,
+        }),
     }
 }
 
@@ -549,9 +588,7 @@ fn handle_run_batch(state: &ServeState, text: &str, wants_async: bool) -> Routed
             SpecOutcome::Hit {
                 fingerprint,
                 payload,
-            } => BatchItem::Ready(format!(
-                "{{\"cache\":\"hit\",\"fingerprint\":\"{fingerprint}\",\"report\":{payload}}}"
-            )),
+            } => BatchItem::Ready(report_fragment("hit", &fingerprint, &payload)),
             SpecOutcome::QueueFull => {
                 BatchItem::Ready("{\"error\":\"job queue full\",\"retry_after_s\":1}".to_string())
             }
@@ -565,7 +602,10 @@ fn handle_run_batch(state: &ServeState, text: &str, wants_async: bool) -> Routed
     if items.iter().all(|item| matches!(item, BatchItem::Ready(_))) {
         Routed::Ready(batch_response(&items))
     } else {
-        Routed::WaitBatch { items }
+        Routed::Wait(RunWait {
+            items,
+            single: false,
+        })
     }
 }
 
@@ -580,7 +620,7 @@ fn error_fragment(message: &str, fingerprint: Option<&str>) -> String {
 }
 
 /// Composes the final batch response; every item must be `Ready`.
-pub(crate) fn batch_response(items: &[BatchItem]) -> Response {
+fn batch_response(items: &[BatchItem]) -> Response {
     let fragments: Vec<&str> = items
         .iter()
         .map(|item| match item {
@@ -591,37 +631,18 @@ pub(crate) fn batch_response(items: &[BatchItem]) -> Response {
     Response::json(200, format!("{{\"results\":[{}]}}", fragments.join(",")))
 }
 
-/// The final response for a sync-waited job, or `None` while it is
-/// still queued/running.
-pub(crate) fn job_outcome_response(
-    state: &ServeState,
-    id: u64,
-    fingerprint: &str,
-) -> Option<Response> {
+/// A retired job's report payload or failure message, or `None` while
+/// it is still queued or running.
+fn job_outcome(state: &ServeState, id: u64) -> Option<Result<Arc<String>, String>> {
     let Some(snapshot) = state.queue.status(id) else {
         // Evicted from the finished history before we observed it —
         // only possible after hundreds of other jobs retired in
         // between.
-        return Some(Response::error(500, "job vanished"));
+        return Some(Err("job vanished".to_string()));
     };
     match snapshot.status {
-        JobStatus::Done(payload) => Some(run_response("miss", fingerprint, &payload)),
-        JobStatus::Failed(msg) => Some(Response::error(500, &msg)),
-        JobStatus::Queued | JobStatus::Running => None,
-    }
-}
-
-/// The final JSON fragment for one batch element's job, or `None`
-/// while it is still in flight.
-pub(crate) fn batch_item_outcome(state: &ServeState, id: u64, fingerprint: &str) -> Option<String> {
-    let Some(snapshot) = state.queue.status(id) else {
-        return Some(error_fragment("job vanished", Some(fingerprint)));
-    };
-    match snapshot.status {
-        JobStatus::Done(payload) => Some(format!(
-            "{{\"cache\":\"miss\",\"fingerprint\":\"{fingerprint}\",\"report\":{payload}}}"
-        )),
-        JobStatus::Failed(msg) => Some(error_fragment(&msg, Some(fingerprint))),
+        JobStatus::Done(payload) => Some(Ok(payload)),
+        JobStatus::Failed(msg) => Some(Err(msg)),
         JobStatus::Queued | JobStatus::Running => None,
     }
 }

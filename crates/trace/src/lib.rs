@@ -4,8 +4,9 @@
 //! CARMA pipeline: thread-aware spans with parent links, named
 //! counters, a lock-sharded in-memory buffer, and three sinks — a
 //! text profile tree, Chrome `trace_event` JSON (loadable in
-//! `chrome://tracing` / Perfetto), and machine-readable span totals
-//! that `carma-core` folds into the report `provenance` block.
+//! `chrome://tracing` / Perfetto), and per-name span totals
+//! ([`Collector::aggregates`]) that the CLI folds into the report
+//! `provenance` block.
 //!
 //! ## Subscriber model
 //!
@@ -513,6 +514,11 @@ impl Trace {
     /// Aggregates spans by name-path: one row per distinct path, with
     /// count/total/self/p50/p99. Rows come back in lexicographic path
     /// order, which is exactly depth-first tree order.
+    ///
+    /// A span annotated `wait` (a lookup blocked on another thread's
+    /// compute of the same key) counts as an instance of its row but
+    /// adds no time to it: the compute's own span holds that time. Its
+    /// parent still counts it as child time, not self time.
     pub fn profile(&self) -> Vec<ProfileRow> {
         let by_id: HashMap<u64, &SpanRecord> = self.spans.iter().map(|s| (s.id, s)).collect();
         // Time attributed to children, per parent instance.
@@ -539,22 +545,27 @@ impl Trace {
             paths.insert(id, path.clone());
             path
         }
-        let mut rows: std::collections::BTreeMap<String, (&'static str, Vec<u64>, u64)> =
+        let mut rows: std::collections::BTreeMap<String, (&'static str, u64, Vec<u64>, u64)> =
             std::collections::BTreeMap::new();
         for s in &self.spans {
             let path = path_of(s.id, &by_id, &mut paths);
-            let own = s.dur_ns - child_ns.get(&s.id).copied().unwrap_or(0).min(s.dur_ns);
-            let row = rows.entry(path).or_insert_with(|| (s.name, Vec::new(), 0));
-            row.1.push(s.dur_ns);
-            row.2 += own;
+            let row = rows
+                .entry(path)
+                .or_insert_with(|| (s.name, 0, Vec::new(), 0));
+            row.1 += 1;
+            if s.annotation == Some("wait") {
+                continue;
+            }
+            row.2.push(s.dur_ns);
+            row.3 += s.dur_ns - child_ns.get(&s.id).copied().unwrap_or(0).min(s.dur_ns);
         }
         rows.into_iter()
-            .map(|(path, (name, mut durs, self_ns))| {
+            .map(|(path, (name, count, mut durs, self_ns))| {
                 durs.sort_unstable();
                 ProfileRow {
                     depth: path.matches('/').count(),
                     name,
-                    count: durs.len() as u64,
+                    count,
                     total_ns: durs.iter().sum(),
                     self_ns,
                     p50_ns: percentile(&durs, 0.50),
@@ -681,21 +692,6 @@ impl Trace {
             .filter(|s| keep.contains(&root_of(s)))
             .collect();
         Trace::chrome_json_of(&selected)
-    }
-
-    /// Per-span-name `(name, count, total_ns)` totals, sorted by
-    /// name — the machine-readable summary the report `provenance`
-    /// block carries.
-    pub fn span_totals(&self) -> Vec<(&'static str, u64, u64)> {
-        let mut merged: HashMap<&'static str, (u64, u64)> = HashMap::new();
-        for s in &self.spans {
-            let e = merged.entry(s.name).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += s.dur_ns;
-        }
-        let mut out: Vec<_> = merged.into_iter().map(|(n, (c, t))| (n, c, t)).collect();
-        out.sort_unstable_by_key(|&(n, _, _)| n);
-        out
     }
 
     /// The thread- and timing-independent shape of the trace: sorted
@@ -855,6 +851,73 @@ mod tests {
         assert!(stage.p50_ns <= stage.p99_ns);
         // Self time telescopes: root self + child totals = root total.
         assert_eq!(root.self_ns + stage.total_ns, root.total_ns);
+    }
+
+    #[test]
+    fn wait_spans_count_but_add_no_time() {
+        let span = |id, parent, name, annotation, dur_ns| SpanRecord {
+            id,
+            parent,
+            name,
+            label: None,
+            annotation,
+            thread: 1,
+            start_ns: 0,
+            dur_ns,
+        };
+        let trace = Trace {
+            spans: vec![
+                span(1, 0, "contexts", None, 200),
+                span(2, 1, "memo.context", Some("miss"), 60),
+                span(3, 1, "memo.context", Some("wait"), 55),
+            ],
+            counters: Vec::new(),
+            dropped: 0,
+        };
+        let rows = trace.profile();
+        let lookups = rows
+            .iter()
+            .find(|r| r.path == "contexts/memo.context")
+            .unwrap();
+        assert_eq!(
+            (lookups.count, lookups.total_ns, lookups.self_ns),
+            (2, 60, 60)
+        );
+        assert_eq!((lookups.p50_ns, lookups.p99_ns), (60, 60));
+        let parent = rows.iter().find(|r| r.path == "contexts").unwrap();
+        assert_eq!(parent.self_ns, 200 - 60 - 55, "blocked time is not self");
+        assert_eq!(
+            trace.structure_signature(),
+            vec![
+                ("contexts".to_string(), 1),
+                ("contexts/memo.context".to_string(), 2)
+            ]
+        );
+    }
+
+    #[test]
+    fn aggregates_sum_the_snapshot_per_name() {
+        let collector = Arc::new(Collector::new());
+        with_collector(&collector, || {
+            let _root = span!("run");
+            for _ in 0..3 {
+                let _stage = span!("stage");
+                let _eval = span!("eval");
+            }
+            let ctx = ambient();
+            std::thread::scope(|s| {
+                s.spawn(|| with_ambient(ctx, || drop(span!("eval"))));
+            });
+        });
+        let mut sums: std::collections::BTreeMap<&str, (u64, u64)> = Default::default();
+        for s in &collector.snapshot().spans {
+            let sum = sums.entry(s.name).or_default();
+            sum.0 += 1;
+            sum.1 += s.dur_ns;
+        }
+        let expected: Vec<_> = sums.into_iter().map(|(n, (c, t))| (n, c, t)).collect();
+        assert_eq!(collector.aggregates(), expected);
+        assert_eq!(expected.iter().map(|&(_, c, _)| c).sum::<u64>(), 8);
     }
 
     #[test]

@@ -119,31 +119,13 @@ fn list() {
     println!("\nSpecs: `carma run --spec <file.json>` (see examples/scenarios/).");
 }
 
-/// Output format of `carma run`.
-#[derive(Clone, Copy, PartialEq)]
+/// Output format of a report (`--out`).
+#[derive(Clone, Copy, PartialEq, Default)]
 enum OutFormat {
+    #[default]
     Text,
     Json,
     Csv,
-}
-
-struct RunArgs {
-    name: Option<String>,
-    spec_path: Option<String>,
-    scale: Option<Scale>,
-    threads: Option<usize>,
-    model: Option<String>,
-    node: Option<String>,
-    nodes: Option<Vec<String>>,
-    library: Option<String>,
-    seed: Option<u64>,
-    out: OutFormat,
-    output: Option<String>,
-    memo_dir: Option<String>,
-    memo_stats: bool,
-    fingerprint: bool,
-    trace: TraceArgs,
-    verbose: bool,
 }
 
 /// Which `--trace` sink to emit after the run.
@@ -162,6 +144,68 @@ struct TraceArgs {
     out: Option<String>,
 }
 
+/// What one subcommand accepts: its flags, the `--out` formats it
+/// renders, and whether it takes an experiment name.
+struct Syntax {
+    command: &'static str,
+    flags: &'static str,
+    outs: &'static str,
+    takes_name: bool,
+}
+
+const RUN: Syntax = Syntax {
+    command: "run",
+    flags: "--spec --scale --threads --model --node --nodes --library --seed --out --output \
+            --memo-dir --memo-stats --fingerprint --trace --trace-out --verbose",
+    outs: "text|json|csv",
+    takes_name: true,
+};
+
+const LINT: Syntax = Syntax {
+    command: "lint",
+    flags: "--family --library --library-depth --scale --threads --out --output --fixture \
+            --trace --trace-out",
+    outs: "text|json",
+    takes_name: false,
+};
+
+const SERVE: Syntax = Syntax {
+    command: "serve",
+    flags: "--addr --workers --queue --memo-dir --max-conns",
+    outs: "",
+    takes_name: false,
+};
+
+/// Every flag of `run`, `lint` and `serve`; each subcommand reads the
+/// fields of the flags its [`Syntax`] accepts.
+#[derive(Default)]
+struct Flags {
+    name: Option<String>,
+    spec_path: Option<String>,
+    scale: Option<Scale>,
+    threads: Option<usize>,
+    model: Option<String>,
+    node: Option<String>,
+    nodes: Option<Vec<String>>,
+    /// `None` is every family (`--family all`).
+    family: Option<String>,
+    library: Option<String>,
+    library_depth: Option<u8>,
+    seed: Option<u64>,
+    out: OutFormat,
+    output: Option<String>,
+    memo_dir: Option<String>,
+    memo_stats: bool,
+    fingerprint: bool,
+    fixture: bool,
+    trace: TraceArgs,
+    verbose: bool,
+    addr: Option<String>,
+    workers: Option<usize>,
+    queue: Option<usize>,
+    max_conns: Option<usize>,
+}
+
 fn parse_trace_sink(value: &str) -> Result<TraceSink, String> {
     match value {
         "text" => Ok(TraceSink::Text),
@@ -173,214 +217,167 @@ fn parse_trace_sink(value: &str) -> Result<TraceSink, String> {
     }
 }
 
+fn parse_out(value: &str, accepted: &str) -> Result<OutFormat, String> {
+    let format = match value {
+        "text" => Some(OutFormat::Text),
+        "json" => Some(OutFormat::Json),
+        "csv" => Some(OutFormat::Csv),
+        _ => None,
+    };
+    format
+        .filter(|_| accepted.split('|').any(|name| name == value))
+        .ok_or_else(|| format!("unknown output format `{value}` (expected {accepted})"))
+}
+
+fn parse_positive(flag: &str, value: &str) -> Result<usize, String> {
+    value
+        .parse::<usize>()
+        .ok()
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("`{flag}` needs a positive integer (got `{value}`)"))
+}
+
+fn parse_family(value: String) -> Result<Option<String>, String> {
+    match value.as_str() {
+        "ladder" | "classic" | "evolved" | "imported" => Ok(Some(value)),
+        "all" => Ok(None),
+        other => Err(format!(
+            "unknown family `{other}` (expected ladder|classic|evolved|imported|all)"
+        )),
+    }
+}
+
+/// Walks `args` as the flags of `syntax`, each through its one parser.
+fn parse_flags(syntax: &Syntax, args: &[String]) -> Result<Flags, String> {
+    let mut flags = Flags::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let flag = arg.as_str();
+        let unknown = || format!("unknown {} argument `{flag}`", syntax.command);
+        if !syntax.flags.split_whitespace().any(|known| known == flag) {
+            if !syntax.takes_name || flag.starts_with('-') {
+                return Err(unknown());
+            }
+            if flags.name.replace(arg.clone()).is_some() {
+                return Err(format!("unexpected extra argument `{flag}`"));
+            }
+            continue;
+        }
+        let mut value = || {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("`{flag}` needs a value"))
+        };
+        match flag {
+            "--spec" => flags.spec_path = Some(value()?),
+            "--scale" => {
+                flags.scale = Some(value()?.parse::<Scale>().map_err(|e| e.to_string())?);
+            }
+            "--threads" => flags.threads = Some(parse_positive(flag, &value()?)?),
+            "--model" => flags.model = Some(value()?),
+            "--node" => flags.node = Some(value()?),
+            "--nodes" => {
+                flags.nodes = Some(value()?.split(',').map(|s| s.trim().to_string()).collect());
+            }
+            "--family" => flags.family = parse_family(value()?)?,
+            "--library" => flags.library = Some(value()?),
+            "--library-depth" => {
+                let v = value()?;
+                let depth = v.parse::<u8>().ok().filter(|n| (1..=7).contains(n));
+                flags.library_depth = Some(depth.ok_or_else(|| {
+                    format!("`--library-depth` needs an integer in 1..=7 (got `{v}`)")
+                })?);
+            }
+            "--seed" => {
+                let v = value()?;
+                let seed = v
+                    .parse()
+                    .map_err(|_| format!("`--seed` needs an integer (got `{v}`)"))?;
+                flags.seed = Some(seed);
+            }
+            "--out" => flags.out = parse_out(&value()?, syntax.outs)?,
+            "--output" => flags.output = Some(value()?),
+            "--memo-dir" => flags.memo_dir = Some(value()?),
+            "--memo-stats" => flags.memo_stats = true,
+            "--fingerprint" => flags.fingerprint = true,
+            "--fixture" => match value()?.as_str() {
+                "corrupted" => flags.fixture = true,
+                other => return Err(format!("unknown fixture `{other}` (expected corrupted)")),
+            },
+            "--trace" => flags.trace.sink = Some(parse_trace_sink(&value()?)?),
+            "--trace-out" => flags.trace.out = Some(value()?),
+            "--verbose" => flags.verbose = true,
+            "--addr" => flags.addr = Some(value()?),
+            "--workers" => flags.workers = Some(parse_positive(flag, &value()?)?),
+            "--queue" => flags.queue = Some(parse_positive(flag, &value()?)?),
+            "--max-conns" => flags.max_conns = Some(parse_positive(flag, &value()?)?),
+            _ => return Err(unknown()),
+        }
+    }
+    Ok(flags)
+}
+
+impl Flags {
+    /// Fills each spec field a flag names and the spec leaves empty
+    /// (spec > flag). A library path only takes effect under the
+    /// imported family, so `--library foo.v` implies it.
+    fn fill(&self, spec: &mut ScenarioSpec) {
+        fn fill_empty(field: &mut String, flag: &Option<String>) {
+            if let (true, Some(value)) = (field.is_empty(), flag) {
+                field.clone_from(value);
+            }
+        }
+        fill_empty(&mut spec.model, &self.model);
+        fill_empty(&mut spec.node, &self.node);
+        if let (true, Some(nodes)) = (spec.nodes.is_empty(), &self.nodes) {
+            spec.nodes.clone_from(nodes);
+        }
+        fill_empty(&mut spec.family, &self.family);
+        if self.library.is_some() {
+            fill_empty(&mut spec.library, &self.library);
+            if spec.family.is_empty() {
+                spec.family = "imported".to_string();
+            }
+        }
+        spec.library_depth = spec.library_depth.or(self.library_depth);
+        spec.seed = spec.seed.or(self.seed);
+    }
+}
+
 fn usage_error(msg: &str) -> ExitCode {
     eprintln!("error: {msg}\n");
     eprintln!("run `carma help` for usage");
     ExitCode::from(2)
 }
 
-fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
-    let mut parsed = RunArgs {
-        name: None,
-        spec_path: None,
-        scale: None,
-        threads: None,
-        model: None,
-        node: None,
-        nodes: None,
-        library: None,
-        seed: None,
-        out: OutFormat::Text,
-        output: None,
-        memo_dir: None,
-        memo_stats: false,
-        fingerprint: false,
-        trace: TraceArgs::default(),
-        verbose: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_for = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("`{flag}` needs a value"))
-        };
-        match arg.as_str() {
-            "--spec" => parsed.spec_path = Some(value_for("--spec")?),
-            "--scale" => {
-                let v = value_for("--scale")?;
-                parsed.scale = Some(v.parse::<Scale>().map_err(|e| e.to_string())?);
-            }
-            "--threads" => {
-                let v = value_for("--threads")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("`--threads` needs a positive integer (got `{v}`)"))?;
-                if n == 0 {
-                    return Err("`--threads` must be ≥ 1".to_string());
-                }
-                parsed.threads = Some(n);
-            }
-            "--model" => parsed.model = Some(value_for("--model")?),
-            "--node" => parsed.node = Some(value_for("--node")?),
-            "--nodes" => {
-                let v = value_for("--nodes")?;
-                parsed.nodes = Some(v.split(',').map(|s| s.trim().to_string()).collect());
-            }
-            "--library" => parsed.library = Some(value_for("--library")?),
-            "--seed" => {
-                let v = value_for("--seed")?;
-                parsed.seed = Some(
-                    v.parse()
-                        .map_err(|_| format!("`--seed` needs an integer (got `{v}`)"))?,
-                );
-            }
-            "--out" => {
-                parsed.out = match value_for("--out")?.as_str() {
-                    "text" => OutFormat::Text,
-                    "json" => OutFormat::Json,
-                    "csv" => OutFormat::Csv,
-                    other => return Err(format!("unknown output format `{other}`")),
-                };
-            }
-            "--output" => parsed.output = Some(value_for("--output")?),
-            "--memo-dir" => parsed.memo_dir = Some(value_for("--memo-dir")?),
-            "--memo-stats" => parsed.memo_stats = true,
-            "--fingerprint" => parsed.fingerprint = true,
-            "--trace" => parsed.trace.sink = Some(parse_trace_sink(&value_for("--trace")?)?),
-            "--trace-out" => parsed.trace.out = Some(value_for("--trace-out")?),
-            "--verbose" => parsed.verbose = true,
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
-            name => {
-                if parsed.name.replace(name.to_string()).is_some() {
-                    return Err(format!("unexpected extra argument `{name}`"));
-                }
-            }
-        }
-    }
-    if parsed.name.is_none() && parsed.spec_path.is_none() {
-        return Err("give an experiment name or `--spec <file>`".to_string());
-    }
-    Ok(parsed)
-}
-
 /// The `carma lint` entry point: run the static-analysis experiment
 /// over the multiplier libraries (or the corrupted fixture) and map
 /// error-severity findings to a non-zero exit code.
 fn lint(args: &[String]) -> ExitCode {
-    let mut family: Option<String> = None;
-    let mut library: Option<String> = None;
-    let mut library_depth: Option<u8> = None;
-    let mut scale: Option<Scale> = None;
-    let mut threads: Option<usize> = None;
-    let mut out = OutFormat::Text;
-    let mut output: Option<String> = None;
-    let mut fixture = false;
-    let mut trace = TraceArgs::default();
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_for = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("`{flag}` needs a value"))
-        };
-        let parsed = match arg.as_str() {
-            "--family" => value_for("--family").and_then(|v| match v.as_str() {
-                "ladder" | "classic" | "evolved" | "imported" => {
-                    family = Some(v);
-                    Ok(())
-                }
-                "all" => {
-                    family = None;
-                    Ok(())
-                }
-                other => Err(format!(
-                    "unknown family `{other}` (expected ladder|classic|evolved|imported|all)"
-                )),
-            }),
-            "--library" => value_for("--library").map(|v| library = Some(v)),
-            "--library-depth" => value_for("--library-depth").and_then(|v| {
-                v.parse::<u8>()
-                    .ok()
-                    .filter(|&n| (1..=7).contains(&n))
-                    .map(|n| library_depth = Some(n))
-                    .ok_or_else(|| {
-                        format!("`--library-depth` needs an integer in 1..=7 (got `{v}`)")
-                    })
-            }),
-            "--scale" => value_for("--scale").and_then(|v| {
-                v.parse::<Scale>()
-                    .map(|s| scale = Some(s))
-                    .map_err(|e| e.to_string())
-            }),
-            "--threads" => value_for("--threads").and_then(|v| {
-                v.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .map(|n| threads = Some(n))
-                    .ok_or_else(|| format!("`--threads` needs a positive integer (got `{v}`)"))
-            }),
-            "--out" => value_for("--out").and_then(|v| match v.as_str() {
-                "text" => {
-                    out = OutFormat::Text;
-                    Ok(())
-                }
-                "json" => {
-                    out = OutFormat::Json;
-                    Ok(())
-                }
-                other => Err(format!(
-                    "unknown output format `{other}` (expected text|json)"
-                )),
-            }),
-            "--output" => value_for("--output").map(|v| output = Some(v)),
-            "--fixture" => value_for("--fixture").and_then(|v| match v.as_str() {
-                "corrupted" => {
-                    fixture = true;
-                    Ok(())
-                }
-                other => Err(format!("unknown fixture `{other}` (expected corrupted)")),
-            }),
-            "--trace" => value_for("--trace")
-                .and_then(|v| parse_trace_sink(&v))
-                .map(|sink| trace.sink = Some(sink)),
-            "--trace-out" => value_for("--trace-out").map(|v| trace.out = Some(v)),
-            other => Err(format!("unknown lint argument `{other}`")),
-        };
-        if let Err(msg) = parsed {
-            return usage_error(&msg);
-        }
-    }
+    let flags = match parse_flags(&LINT, args) {
+        Ok(flags) => flags,
+        Err(msg) => return usage_error(&msg),
+    };
 
     print_env_diagnostics();
 
     let env = carma_core::RunEnv::standard();
     let go = || {
-        if fixture {
+        if flags.fixture {
             return Ok(carma_core::fixture_lint_report(
-                carma_core::scenario::resolve_scale(None, scale),
+                carma_core::scenario::resolve_scale(None, flags.scale),
             ));
         }
         let mut spec = ScenarioSpec::named("lint");
-        if let Some(f) = family {
-            spec.family = f;
-        }
-        if let Some(path) = library {
-            spec.library = path;
-            if spec.family.is_empty() {
-                spec.family = "imported".to_string();
-            }
-        }
-        spec.library_depth = library_depth;
-        ExperimentRegistry::standard().run_with_env(&spec, scale, threads, &env)
+        flags.fill(&mut spec);
+        ExperimentRegistry::standard().run_with_env(&spec, flags.scale, flags.threads, &env)
     };
-    let report = match run_traced(&trace, false, threads, &env, go) {
+    let report = match run_traced(&flags.trace, false, flags.threads, &env, go) {
         Ok(report) => report,
         Err(code) => return code,
     };
 
-    if let Err(code) = emit(&report, out, output.as_deref()) {
+    if let Err(code) = emit(&report, flags.out, flags.output.as_deref()) {
         return code;
     }
 
@@ -403,45 +400,18 @@ fn lint(args: &[String]) -> ExitCode {
 /// The `carma serve` entry point: boot the embedded HTTP scenario
 /// service and block until a `POST /shutdown` arrives.
 fn serve(args: &[String]) -> ExitCode {
-    let mut addr = "127.0.0.1:8337".to_string();
-    let mut config = carma_serve::ServerConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_for = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("`{flag}` needs a value"))
-        };
-        let parsed = match arg.as_str() {
-            "--addr" => value_for("--addr").map(|v| addr = v),
-            "--workers" => value_for("--workers").and_then(|v| {
-                v.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .map(|n| config.workers = n)
-                    .ok_or_else(|| format!("`--workers` needs a positive integer (got `{v}`)"))
-            }),
-            "--queue" => value_for("--queue").and_then(|v| {
-                v.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .map(|n| config.queue_capacity = n)
-                    .ok_or_else(|| format!("`--queue` needs a positive integer (got `{v}`)"))
-            }),
-            "--memo-dir" => value_for("--memo-dir").map(|v| config.memo_dir = Some(v.into())),
-            "--max-conns" => value_for("--max-conns").and_then(|v| {
-                v.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .map(|n| config.max_conns = n)
-                    .ok_or_else(|| format!("`--max-conns` needs a positive integer (got `{v}`)"))
-            }),
-            other => Err(format!("unknown serve argument `{other}`")),
-        };
-        if let Err(msg) = parsed {
-            return usage_error(&msg);
-        }
-    }
+    let flags = match parse_flags(&SERVE, args) {
+        Ok(flags) => flags,
+        Err(msg) => return usage_error(&msg),
+    };
+    let addr = flags.addr.unwrap_or_else(|| "127.0.0.1:8337".to_string());
+    let default = carma_serve::ServerConfig::default();
+    let config = carma_serve::ServerConfig {
+        workers: flags.workers.unwrap_or(default.workers),
+        queue_capacity: flags.queue.unwrap_or(default.queue_capacity),
+        max_conns: flags.max_conns.unwrap_or(default.max_conns),
+        memo_dir: flags.memo_dir.map(Into::into),
+    };
 
     print_env_diagnostics();
     let server = match carma_serve::Server::bind(&addr, config.clone()) {
@@ -498,10 +468,13 @@ fn print_env_diagnostics() {
 }
 
 fn run(args: &[String]) -> ExitCode {
-    let parsed = match parse_run_args(args) {
-        Ok(p) => p,
+    let flags = match parse_flags(&RUN, args) {
+        Ok(flags) => flags,
         Err(msg) => return usage_error(&msg),
     };
+    if flags.name.is_none() && flags.spec_path.is_none() {
+        return usage_error("give an experiment name or `--spec <file>`");
+    }
 
     print_env_diagnostics();
 
@@ -510,7 +483,7 @@ fn run(args: &[String]) -> ExitCode {
     // fields. Matching on both sources keeps every argument
     // combination on the usage-error path — no panic is reachable even
     // if the parser's invariants drift.
-    let mut spec = match (&parsed.spec_path, &parsed.name) {
+    let mut spec = match (&flags.spec_path, &flags.name) {
         (Some(path), _) => {
             let text = match std::fs::read_to_string(path) {
                 Ok(t) => t,
@@ -527,7 +500,7 @@ fn run(args: &[String]) -> ExitCode {
         (None, Some(name)) => ScenarioSpec::named(name),
         (None, None) => return usage_error("give an experiment name or `--spec <file>`"),
     };
-    if let (Some(name), Some(_)) = (&parsed.name, &parsed.spec_path) {
+    if let (Some(name), Some(_)) = (&flags.name, &flags.spec_path) {
         if *name != spec.experiment {
             return usage_error(&format!(
                 "both `{name}` and --spec (experiment `{}`) given — drop one",
@@ -535,41 +508,14 @@ fn run(args: &[String]) -> ExitCode {
             ));
         }
     }
-    if let Some(model) = parsed.model {
-        if spec.model.is_empty() {
-            spec.model = model;
-        }
-    }
-    if let Some(node) = parsed.node {
-        if spec.node.is_empty() {
-            spec.node = node;
-        }
-    }
-    if let Some(nodes) = parsed.nodes {
-        if spec.nodes.is_empty() {
-            spec.nodes = nodes;
-        }
-    }
-    if let Some(library) = parsed.library {
-        if spec.library.is_empty() {
-            spec.library = library;
-        }
-        // A library path only takes effect under the imported family;
-        // filling it in keeps `--library foo.v` self-contained.
-        if spec.family.is_empty() {
-            spec.family = "imported".to_string();
-        }
-    }
-    if let Some(seed) = parsed.seed {
-        spec.seed.get_or_insert(seed);
-    }
+    flags.fill(&mut spec);
 
     let registry = ExperimentRegistry::standard();
 
     // `--fingerprint` resolves without running: print the content
     // address `carma serve` would cache this scenario under.
-    if parsed.fingerprint {
-        return match spec.resolve(&registry, parsed.scale, parsed.threads) {
+    if flags.fingerprint {
+        return match spec.resolve(&registry, flags.scale, flags.threads) {
             Ok(resolved) => {
                 println!("{}", resolved.fingerprint());
                 ExitCode::SUCCESS
@@ -584,7 +530,7 @@ fn run(args: &[String]) -> ExitCode {
     // In machine-readable modes keep stdout pure; the banner goes to
     // stderr as a progress line.
     let resolved_scale = if spec.scale.is_empty() {
-        carma_core::scenario::resolve_scale(None, parsed.scale)
+        carma_core::scenario::resolve_scale(None, flags.scale)
     } else {
         match spec.scale.parse::<Scale>() {
             Ok(s) => s,
@@ -596,15 +542,15 @@ fn run(args: &[String]) -> ExitCode {
     };
     if let Some(info) = registry.get(&spec.experiment) {
         let banner = banner_text(info.title, resolved_scale);
-        match parsed.out {
-            OutFormat::Text if parsed.output.is_none() => print!("{banner}"),
+        match flags.out {
+            OutFormat::Text if flags.output.is_none() => print!("{banner}"),
             _ => eprint!("{banner}"),
         }
     }
 
     // The run environment: always memoized within the run; `--memo-dir`
     // adds the disk tier that carries stages across runs.
-    let env = match &parsed.memo_dir {
+    let env = match &flags.memo_dir {
         Some(dir) => match carma_core::MemoLayer::with_disk(dir.into()) {
             Ok(layer) => carma_core::RunEnv::with_memo(layer),
             Err(e) => {
@@ -615,13 +561,13 @@ fn run(args: &[String]) -> ExitCode {
         None => carma_core::RunEnv::standard(),
     };
 
-    let go = || registry.run_with_env(&spec, parsed.scale, parsed.threads, &env);
-    let report = match run_traced(&parsed.trace, parsed.verbose, parsed.threads, &env, go) {
+    let go = || registry.run_with_env(&spec, flags.scale, flags.threads, &env);
+    let report = match run_traced(&flags.trace, flags.verbose, flags.threads, &env, go) {
         Ok(report) => report,
         Err(code) => return code,
     };
 
-    if parsed.memo_stats {
+    if flags.memo_stats {
         if let Some(stats) = env.memo_stats() {
             // `carma run` never reads the report stage (`carma serve`
             // does), so its always-zero line is left out.
@@ -641,7 +587,7 @@ fn run(args: &[String]) -> ExitCode {
         }
     }
 
-    match emit(&report, parsed.out, parsed.output.as_deref()) {
+    match emit(&report, flags.out, flags.output.as_deref()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(code) => code,
     }
@@ -679,14 +625,13 @@ fn run_traced(
     let Some(collector) = collector else {
         return Ok(report);
     };
-    let snapshot = collector.snapshot();
     let provenance = report.provenance.insert(carma_core::Provenance {
         wall_s,
         threads: threads.unwrap_or_else(carma_exec::current_threads),
         build: carma_trace::build_info(),
         memo: env.memo_stats(),
-        spans: snapshot
-            .span_totals()
+        spans: collector
+            .aggregates()
             .into_iter()
             .map(|(name, count, total_ns)| carma_core::SpanTotal {
                 name: name.to_string(),
@@ -697,8 +642,8 @@ fn run_traced(
     });
     if let Some(sink) = trace.sink {
         let payload = match sink {
-            TraceSink::Text => snapshot.text_profile(),
-            TraceSink::Chrome => snapshot.chrome_json(),
+            TraceSink::Text => collector.snapshot().text_profile(),
+            TraceSink::Chrome => collector.snapshot().chrome_json(),
             TraceSink::Json => provenance.to_json() + "\n",
         };
         match &trace.out {

@@ -222,6 +222,88 @@ fn resolve_rejects_bad_inputs() {
     ));
 }
 
+/// A problem the GA never runs: `GeneticAlgorithm::new` checks the
+/// config before anything else.
+#[derive(Debug)]
+struct NeverRun;
+
+impl carma_ga::Problem for NeverRun {
+    type Genome = ();
+    fn random_genome(&self, _: &mut dyn rand::Rng) {}
+    fn crossover(&self, _: &(), _: &(), _: &mut dyn rand::Rng) {}
+    fn mutate(&self, _: &mut (), _: &mut dyn rand::Rng) {}
+    fn evaluate(&self, _: &()) -> carma_ga::Evaluation {
+        carma_ga::Evaluation::feasible(0.0)
+    }
+}
+
+#[test]
+fn invalid_ga_specs_fail_resolve_and_the_engine_with_one_text() {
+    let cases = [
+        (
+            GaSpec {
+                population: Some(1),
+                ..GaSpec::default()
+            },
+            "population must be ≥ 2 (got 1)",
+        ),
+        (
+            GaSpec {
+                tournament: Some(0),
+                ..GaSpec::default()
+            },
+            "tournament must be ≥ 1",
+        ),
+        (
+            GaSpec {
+                crossover_rate: Some(1.5),
+                ..GaSpec::default()
+            },
+            "crossover_rate must be in [0, 1] (got 1.5)",
+        ),
+        (
+            GaSpec {
+                mutation_rate: Some(-0.1),
+                ..GaSpec::default()
+            },
+            "mutation_rate must be in [0, 1] (got -0.1)",
+        ),
+        (
+            GaSpec {
+                population: Some(8),
+                elites: Some(8),
+                ..GaSpec::default()
+            },
+            "elites (8) must be < population (8)",
+        ),
+    ];
+    for (ga, text) in cases {
+        let spec = ScenarioSpec::named("fig2").with_ga(ga);
+        let Err(ScenarioError::InvalidGa(from_resolve)) =
+            spec.resolve(registry(), Some(Scale::Quick), None)
+        else {
+            panic!("{ga:?} must fail resolve with InvalidGa");
+        };
+        // The config the engine would get: the spec over quick's GA.
+        let quick = Scale::Quick.ga();
+        let config = carma_ga::GaConfig {
+            population: ga.population.unwrap_or(quick.population),
+            tournament: ga.tournament.unwrap_or(quick.tournament),
+            crossover_rate: ga.crossover_rate.unwrap_or(quick.crossover_rate),
+            mutation_rate: ga.mutation_rate.unwrap_or(quick.mutation_rate),
+            elites: ga.elites.unwrap_or(quick.elites),
+            ..quick
+        };
+        let panic = std::panic::catch_unwind(|| carma_ga::GeneticAlgorithm::new(NeverRun, config))
+            .expect_err("the engine rejects what resolve rejects");
+        let from_panic = panic
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert_eq!(&from_resolve, from_panic, "{ga:?}");
+        assert_eq!(from_resolve, text, "{ga:?}");
+    }
+}
+
 #[test]
 fn resolve_rejects_bad_deployment_blocks() {
     let reg = registry();

@@ -602,6 +602,79 @@ fn smuggling_shaped_content_length_is_rejected_on_the_wire() {
 }
 
 #[test]
+fn run_misses_hits_and_batches_keep_their_wire_bytes() {
+    let handle = boot(ServerConfig::default());
+    let post = |body: &str| {
+        raw_roundtrip(
+            handle.addr(),
+            format!(
+                "POST /run HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        )
+    };
+    let ok = |headers: &str, body: &str| {
+        format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
+             Connection: close\r\n{headers}\r\n{body}",
+            body.len()
+        )
+    };
+    // The fingerprint and report bytes of `spec_json`, as `carma run
+    // --fingerprint` and `carma run --out json` print them.
+    let expected = |spec_json: &str| {
+        let spec = ScenarioSpec::from_json(spec_json).expect("spec parses");
+        let fingerprint = spec
+            .resolve(registry(), None, None)
+            .expect("spec resolves")
+            .fingerprint();
+        let report = registry().run(&spec).expect("spec runs").to_json();
+        (fingerprint, report)
+    };
+
+    // A sync miss, then the hit that follows it.
+    let spec_json = small_spec_json(611);
+    let (fp, report) = expected(&spec_json);
+    assert_eq!(
+        post(&spec_json),
+        ok(
+            "X-Carma-Cache: miss\r\n",
+            &format!("{{\"cache\":\"miss\",\"fingerprint\":\"{fp}\",\"report\":{report}}}")
+        )
+    );
+    assert_eq!(
+        post(&spec_json),
+        ok(
+            "X-Carma-Cache: hit\r\n",
+            &format!("{{\"cache\":\"hit\",\"fingerprint\":\"{fp}\",\"report\":{report}}}")
+        )
+    );
+
+    // A batch of one invalid element and one miss.
+    let invalid = r#"{"experiment": "fig9"}"#;
+    let error = ScenarioSpec::from_json(invalid)
+        .expect("spec parses")
+        .resolve(registry(), None, None)
+        .expect_err("fig9 is not an experiment")
+        .to_string();
+    let spec_json = small_spec_json(612);
+    let (fp, report) = expected(&spec_json);
+    assert_eq!(
+        post(&format!("[{invalid}, {spec_json}]")),
+        ok(
+            "",
+            &format!(
+                "{{\"results\":[{{\"error\":{}}},\
+                 {{\"cache\":\"miss\",\"fingerprint\":\"{fp}\",\"report\":{report}}}]}}",
+                serde::json::to_string(&error)
+            )
+        )
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn connections_over_the_limit_are_shed_with_retry_after() {
     let handle = boot(ServerConfig {
         max_conns: 2,
